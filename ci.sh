@@ -720,6 +720,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The root command builds only the facade package; the spec table, both
+# front doors and the failpoint registry are tested in their own crates.
+echo "==> cargo test -q -p bitline-sim -p bitline-serve -p bitline-failpoint"
+cargo test -q -p bitline-sim -p bitline-serve -p bitline-failpoint
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 

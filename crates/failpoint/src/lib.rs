@@ -70,8 +70,8 @@ pub enum Action {
     Delay(Duration),
     /// Panic at the seam; whatever isolation the caller has is exercised.
     Panic,
-    /// Block until the point is re-armed or disarmed ([`stall_while`]
-    /// watches the arm epoch), or until the optional bound elapses.
+    /// Block until this point is re-armed or disarmed ([`stall_while`]
+    /// watches its generation), or until the optional bound elapses.
     Stall(Option<Duration>),
 }
 
@@ -107,6 +107,8 @@ struct Entry {
 }
 
 struct Point {
+    /// Unique per arming, so a stall can tell its own point was re-armed.
+    generation: u64,
     entries: Vec<Entry>,
     evaluated: u64,
     fired: u64,
@@ -122,9 +124,8 @@ struct Registry {
 /// Number of armed points; the disarmed fast path is this single load.
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
-/// Bumped on every arm/disarm; [`stall_while`] watches it so a stalled
-/// thread is released the moment the schedule changes.
-static EPOCH: AtomicU64 = AtomicU64::new(0);
+/// Source of [`Point::generation`]s.
+static GENERATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Default process-global seed when neither `BITLINE_FAILPOINT_SEED` nor
 /// [`set_seed`] supplied one.
@@ -235,6 +236,7 @@ pub fn arm(spec: &str) -> Result<usize, String> {
             None => {
                 let obs = bitline_obs::registry();
                 let p = Point {
+                    generation: GENERATIONS.fetch_add(1, Ordering::Relaxed),
                     entries: vec![entry],
                     evaluated: 0,
                     fired: 0,
@@ -246,8 +248,6 @@ pub fn arm(spec: &str) -> Result<usize, String> {
         }
     }
     ACTIVE.store(reg.points.len(), Ordering::Release);
-    drop(reg);
-    EPOCH.fetch_add(1, Ordering::Release);
     Ok(count)
 }
 
@@ -256,8 +256,6 @@ pub fn disarm(point: &str) -> bool {
     let mut reg = lock();
     let removed = reg.points.remove(point).is_some();
     ACTIVE.store(reg.points.len(), Ordering::Release);
-    drop(reg);
-    EPOCH.fetch_add(1, Ordering::Release);
     removed
 }
 
@@ -266,8 +264,6 @@ pub fn disarm_all() {
     let mut reg = lock();
     reg.points.clear();
     ACTIVE.store(0, Ordering::Release);
-    drop(reg);
-    EPOCH.fetch_add(1, Ordering::Release);
 }
 
 /// Sets the process-global seed used when points are (re-)armed. Existing
@@ -357,13 +353,19 @@ pub fn eval_tagged(point: &str, tag: &str) -> Option<Action> {
     fired_action
 }
 
-/// Blocks until the failpoint schedule changes (any [`arm`]/[`disarm`]),
-/// `cancelled` returns true, or the optional `limit` elapses. This is the
-/// `stall` action's wait loop, factored out so seams can pass their own
-/// cancellation (e.g. "this connection was condemned").
-pub fn stall_while(limit: Option<Duration>, cancelled: impl Fn() -> bool) {
+/// The current arming of `point`; `None` when disarmed.
+fn generation(point: &str) -> Option<u64> {
+    lock().points.get(point).map(|p| p.generation)
+}
+
+/// Blocks a thread stalled at `point` until that point is re-armed or
+/// disarmed, `cancelled` returns true, or the optional `limit` elapses.
+/// Arming or disarming any *other* point leaves the stall held. This is
+/// the `stall` action's wait loop, factored out so seams can pass their
+/// own cancellation (e.g. "this connection was condemned").
+pub fn stall_while(point: &str, limit: Option<Duration>, cancelled: impl Fn() -> bool) {
     let started = Instant::now();
-    let epoch0 = EPOCH.load(Ordering::Acquire);
+    let armed = generation(point);
     loop {
         if cancelled() {
             return;
@@ -373,7 +375,7 @@ pub fn stall_while(limit: Option<Duration>, cancelled: impl Fn() -> bool) {
                 return;
             }
         }
-        if EPOCH.load(Ordering::Acquire) != epoch0 {
+        if armed.is_none() || generation(point) != armed {
             return;
         }
         std::thread::sleep(Duration::from_millis(2));
@@ -410,7 +412,7 @@ pub fn write_fate_tagged(point: &str, tag: &str) -> WriteFate {
             WriteFate::Full
         }
         Some(Action::Stall(limit)) => {
-            stall_while(limit, || false);
+            stall_while(point, limit, || false);
             WriteFate::Full
         }
         Some(Action::Panic) => panic!("failpoint `{point}` fired: panic"),
@@ -452,7 +454,7 @@ pub fn hit_tagged(point: &str, tag: &str) {
     match eval_tagged(point, tag) {
         None | Some(Action::Err(_)) | Some(Action::ShortWrite(_)) => {}
         Some(Action::Delay(d)) => std::thread::sleep(d),
-        Some(Action::Stall(limit)) => stall_while(limit, || false),
+        Some(Action::Stall(limit)) => stall_while(point, limit, || false),
         Some(Action::Panic) => panic!("failpoint `{point}` fired: panic"),
     }
 }
@@ -698,7 +700,7 @@ mod tests {
         let t = std::thread::spawn(|| {
             let started = Instant::now();
             match eval("test.stall.point") {
-                Some(Action::Stall(limit)) => stall_while(limit, || false),
+                Some(Action::Stall(limit)) => stall_while("test.stall.point", limit, || false),
                 other => panic!("expected stall, got {other:?}"),
             }
             started.elapsed()
@@ -707,6 +709,29 @@ mod tests {
         disarm("test.stall.point");
         let held = t.join().expect("stalled thread");
         assert!(held >= Duration::from_millis(25), "stall held for {held:?}");
+    }
+
+    #[test]
+    fn stall_holds_while_other_points_change() {
+        arm("test.stall.held=stall(10s)").unwrap();
+        let t = std::thread::spawn(|| {
+            let started = Instant::now();
+            match eval("test.stall.held") {
+                Some(Action::Stall(limit)) => stall_while("test.stall.held", limit, || false),
+                other => panic!("expected stall, got {other:?}"),
+            }
+            started.elapsed()
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        // Re-arming and disarming another point must not free the stall.
+        arm("test.stall.other=delay(1us)").unwrap();
+        disarm("test.stall.other");
+        disarm("test.stall.never-armed");
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!t.is_finished(), "disarming another point released the stall");
+        disarm("test.stall.held");
+        let held = t.join().expect("stalled thread");
+        assert!(held < Duration::from_secs(10), "disarm must release before the bound");
     }
 
     #[test]

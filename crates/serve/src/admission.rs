@@ -310,7 +310,7 @@ mod tests {
     }
 
     fn spec() -> SystemSpec {
-        crate::protocol::default_spec()
+        SystemSpec::front_door()
     }
 
     fn offer(adm: &Admission, key: &str, priority: u8) -> Offer {

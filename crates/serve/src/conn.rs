@@ -211,7 +211,7 @@ fn writer_loop(shared: &Arc<Shared>, mut writer: Box<dyn Write + Send>) {
             Some(Action::Delay(d)) => std::thread::sleep(d),
             Some(Action::Stall(limit)) => {
                 let s2 = Arc::clone(shared);
-                bitline_failpoint::stall_while(limit, move || s2.lock().dead);
+                bitline_failpoint::stall_while("serve.conn.write", limit, move || s2.lock().dead);
                 if shared.lock().dead {
                     return;
                 }

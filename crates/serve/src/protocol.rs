@@ -24,13 +24,16 @@
 //! {"id":"r4","status":"error","kind":"invalid-spec","error":"…"}
 //! ```
 //!
-//! Parsing is strict ([`bitline_obs::json::expect_keys`]): an unknown key
-//! is a `bad-request` error, not silently ignored, matching the fail-fast
-//! posture of `SystemSpec::validate`.
+//! Parsing is strict: an unknown key, or a value of the wrong kind, is a
+//! `bad-request` error, not silently ignored. The `spec` keys, their kinds
+//! and parse-time checks come from [`bitline_sim::SPEC_FIELDS`], the table
+//! behind `bitline-sim`'s flags, so a key and its flag build the same spec;
+//! omitted keys take [`SystemSpec::front_door`]. Model ranges are
+//! `SystemSpec::validate`'s, answered as `invalid-spec`.
 
 use bitline_cmos::TechnologyNode;
-use bitline_obs::json::{self, as_object, expect_keys, get_str, json_f64, json_u64, try_get, Json};
-use bitline_sim::{HierarchySpec, LeakageKind, PolicyKind, RunResult, SystemSpec, VddSpec};
+use bitline_obs::json::{self, as_object, expect_keys, get_str, json_u64, try_get, Json};
+use bitline_sim::{build_spec, FieldInput, RunResult, SystemSpec, SPEC_FIELDS};
 use std::fmt::Write as _;
 
 /// A parsed request line.
@@ -136,7 +139,7 @@ pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
                 }
             };
             let spec = match try_get(obj, "spec") {
-                None => default_spec(),
+                None => SystemSpec::front_door(),
                 Some(v) => parse_spec(v).map_err(fail)?,
             };
             Ok(Request::Run(Box::new(RunRequest { id, benchmark, spec, priority, deadline_ms })))
@@ -154,140 +157,15 @@ pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
     }
 }
 
-/// The spec a request gets when it sends no `spec` object: the CLI's
-/// defaults (gated-predecode D, gated I, 1 KB subarrays, seed 42) with
-/// the instruction count from `BITLINE_INSTRS`.
-#[must_use]
-pub fn default_spec() -> SystemSpec {
-    let d_policy = PolicyKind::GatedPredecode { threshold: 100 };
-    SystemSpec {
-        d_policy,
-        i_policy: d_policy.icache_default(),
-        subarray_bytes: 1024,
-        instructions: bitline_sim::default_instructions(),
-        seed: 42,
-        way_prediction: false,
-        faults: bitline_sim::FaultSpec::default(),
-        hierarchy: HierarchySpec::default(),
-        vdd: VddSpec::default(),
-    }
-}
-
-/// Rejects NaN and ±inf at the protocol boundary: a non-finite float in a
-/// spec would otherwise ride along until it poisons a probability draw or
-/// an energy total. `1e999` parses to `inf`, so this is reachable from a
-/// syntactically valid request line.
-fn finite_f64(v: &Json, key: &str) -> Result<f64, String> {
-    let x = json_f64(v).map_err(|e| format!("spec {key}: {e}"))?;
-    if !x.is_finite() {
-        return Err(format!("spec {key}: must be finite, got {x}"));
-    }
-    Ok(x)
-}
-
+/// Parses a request's `spec` object; a repeated key's first value wins.
 fn parse_spec(value: &Json) -> Result<SystemSpec, String> {
     let obj = as_object(value).map_err(|_| "key `spec` must be an object".to_owned())?;
-    expect_keys(
-        obj,
-        &[
-            "d_policy",
-            "i_policy",
-            "subarray_bytes",
-            "instructions",
-            "seed",
-            "way_prediction",
-            "fault_rate",
-            "fault_seed",
-            "fail_safe",
-            "ecc",
-            "scrub_period",
-            "levels",
-            "l2_policy",
-            "leakage_mode",
-            "vdd",
-            "vdd_governor",
-        ],
-    )
-    .map_err(|e| format!("spec: {e}"))?;
-    let mut spec = default_spec();
-    if let Some(v) = try_get(obj, "d_policy") {
-        let s = as_str(v, "d_policy")?;
-        spec.d_policy = s.parse::<PolicyKind>().map_err(|e| format!("spec d_policy: {e}"))?;
-        spec.i_policy = spec.d_policy.icache_default();
+    if let Some((key, _)) = obj.iter().find(|(key, _)| !SPEC_FIELDS.iter().any(|f| f.key == *key)) {
+        return Err(format!("spec: unexpected key `{key}`"));
     }
-    if let Some(v) = try_get(obj, "i_policy") {
-        let s = as_str(v, "i_policy")?;
-        spec.i_policy = s.parse::<PolicyKind>().map_err(|e| format!("spec i_policy: {e}"))?;
-    }
-    if let Some(v) = try_get(obj, "subarray_bytes") {
-        let n = json_u64(v).map_err(|e| format!("spec subarray_bytes: {e}"))?;
-        spec.subarray_bytes =
-            usize::try_from(n).map_err(|_| "spec subarray_bytes out of range".to_owned())?;
-    }
-    if let Some(v) = try_get(obj, "instructions") {
-        spec.instructions = json_u64(v).map_err(|e| format!("spec instructions: {e}"))?;
-    }
-    if let Some(v) = try_get(obj, "seed") {
-        spec.seed = json_u64(v).map_err(|e| format!("spec seed: {e}"))?;
-    }
-    if let Some(v) = try_get(obj, "way_prediction") {
-        spec.way_prediction = as_bool(v, "way_prediction")?;
-    }
-    if let Some(v) = try_get(obj, "fault_rate") {
-        spec.faults.rate = finite_f64(v, "fault_rate")?;
-    }
-    if let Some(v) = try_get(obj, "fault_seed") {
-        spec.faults.seed = json_u64(v).map_err(|e| format!("spec fault_seed: {e}"))?;
-    }
-    if let Some(v) = try_get(obj, "fail_safe") {
-        spec.faults.fail_safe = as_bool(v, "fail_safe")?;
-    }
-    if let Some(v) = try_get(obj, "ecc") {
-        spec.faults.ecc = as_bool(v, "ecc")?;
-    }
-    if let Some(v) = try_get(obj, "scrub_period") {
-        let period = json_u64(v).map_err(|e| format!("spec scrub_period: {e}"))?;
-        if period == 0 {
-            return Err("spec scrub_period 0 would scrub continuously; omit the key".to_owned());
-        }
-        spec.faults.scrub_period = Some(period);
-    }
-    if let Some(v) = try_get(obj, "levels") {
-        let n = json_u64(v).map_err(|e| format!("spec levels: {e}"))?;
-        spec.hierarchy.levels =
-            u8::try_from(n).map_err(|_| "spec levels out of range (want 1..=3)".to_owned())?;
-    }
-    if let Some(v) = try_get(obj, "l2_policy") {
-        let s = as_str(v, "l2_policy")?;
-        spec.hierarchy.l2_policy =
-            s.parse::<PolicyKind>().map_err(|e| format!("spec l2_policy: {e}"))?;
-    }
-    if let Some(v) = try_get(obj, "leakage_mode") {
-        let s = as_str(v, "leakage_mode")?;
-        spec.hierarchy.leakage_mode =
-            s.parse::<LeakageKind>().map_err(|e| format!("spec leakage_mode: {e}"))?;
-    }
-    if let Some(v) = try_get(obj, "vdd") {
-        spec.vdd.scale = finite_f64(v, "vdd")?;
-    }
-    if let Some(v) = try_get(obj, "vdd_governor") {
-        spec.vdd.governor = as_bool(v, "vdd_governor")?;
-    }
-    Ok(spec)
-}
-
-fn as_str<'j>(v: &'j Json, key: &str) -> Result<&'j str, String> {
-    match v {
-        Json::Str(s) => Ok(s),
-        _ => Err(format!("spec {key}: expected a string")),
-    }
-}
-
-fn as_bool(v: &Json, key: &str) -> Result<bool, String> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("spec {key}: expected a boolean")),
-    }
+    let given =
+        SPEC_FIELDS.iter().filter_map(|f| Some((f, FieldInput::Json(try_get(obj, f.key)?))));
+    build_spec(given).map_err(|(field, e)| format!("spec {}: {e}", field.key))
 }
 
 // ---------------------------------------------------------------------------
@@ -497,6 +375,7 @@ pub fn stats_line(id: &str, stats: &[(&str, u64)]) -> String {
 mod tests {
     use super::*;
     use bitline_obs::json::get_u64;
+    use bitline_sim::{LeakageKind, PolicyKind};
 
     #[test]
     fn run_requests_parse_with_defaults_and_overrides() {
@@ -506,7 +385,7 @@ mod tests {
         assert_eq!(run.benchmark, "gcc");
         assert_eq!(run.priority, 0);
         assert_eq!(run.deadline_ms, None);
-        assert_eq!(run.spec, default_spec());
+        assert_eq!(run.spec, SystemSpec::front_door());
 
         let req = parse_request(
             r#"{"id":"r2","op":"run","benchmark":"mesa","priority":3,"deadline_ms":250,

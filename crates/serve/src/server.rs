@@ -323,7 +323,7 @@ fn read_seam(out: &ConnHandle) -> bool {
         }
         Some(Action::Stall(limit)) => {
             let watched = out.clone();
-            bitline_failpoint::stall_while(limit, move || watched.is_dead());
+            bitline_failpoint::stall_while("serve.conn.read", limit, move || watched.is_dead());
             !out.is_dead()
         }
         Some(Action::Err(errno)) => {

@@ -1,9 +1,14 @@
-//! System specification: which policy drives which cache.
+//! System specification: which policy drives which cache, and the one
+//! table ([`SPEC_FIELDS`]) that declares every user-settable knob for the
+//! CLI, the serve protocol, `--help` and the environment defaults.
+
+use std::fmt::Write as _;
 
 use bitline_cache::{CacheConfig, PrechargePolicy};
 use bitline_circuit::DecoderModel;
 use bitline_cmos::TechnologyNode;
 use bitline_energy::LeakageKind;
+use bitline_obs::json::{json_f64, json_u64, Json};
 use gated_precharge::{
     AdaptiveConfig, AdaptiveGatedPolicy, DrowsyPolicy, GatedPolicy, LeakageBiasedPolicy,
     OnDemandPolicy, OraclePolicy, ResizableConfig, ResizablePolicy, StaticPullUp,
@@ -67,55 +72,50 @@ pub enum PolicyKind {
     LocalityRecorder,
 }
 
-impl PartialEq for PolicyKind {
-    fn eq(&self, other: &Self) -> bool {
-        use PolicyKind::{
-            AdaptiveGated, Drowsy, Gated, GatedPredecode, LeakageBiased, LocalityRecorder,
-            OnDemand, Oracle, Resizable, StaticPullUp,
-        };
-        match (self, other) {
-            (StaticPullUp, StaticPullUp)
-            | (Oracle, Oracle)
-            | (OnDemand, OnDemand)
-            | (LeakageBiased, LeakageBiased)
-            | (LocalityRecorder, LocalityRecorder) => true,
-            (Gated { threshold: a }, Gated { threshold: b })
-            | (GatedPredecode { threshold: a }, GatedPredecode { threshold: b })
-            | (Drowsy { threshold: a }, Drowsy { threshold: b }) => a == b,
-            (AdaptiveGated { interval_accesses: a }, AdaptiveGated { interval_accesses: b }) => {
-                a == b
+/// Implements `PartialEq`, `Eq` and `Hash` through one projection of the
+/// value, with every `f64` taken by bit pattern (`f64::to_bits`), so the
+/// type can key the run cache. `NaN` (which validation rejects anyway) at
+/// least equals itself.
+macro_rules! eq_hash_by_bits {
+    ($ty:ty, $v:ident => $project:expr) => {
+        impl $ty {
+            fn bits(&self) -> impl Eq + std::hash::Hash {
+                let $v = self;
+                $project
             }
-            (
-                Resizable { interval_accesses: ia, slack: sa },
-                Resizable { interval_accesses: ib, slack: sb },
-            ) => ia == ib && sa.to_bits() == sb.to_bits(),
-            _ => false,
         }
-    }
+
+        impl PartialEq for $ty {
+            fn eq(&self, other: &Self) -> bool {
+                self.bits() == other.bits()
+            }
+        }
+
+        impl Eq for $ty {}
+
+        impl std::hash::Hash for $ty {
+            fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+                self.bits().hash(state);
+            }
+        }
+    };
 }
 
-impl Eq for PolicyKind {}
-
-impl std::hash::Hash for PolicyKind {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
-        match *self {
-            PolicyKind::Gated { threshold }
-            | PolicyKind::GatedPredecode { threshold }
-            | PolicyKind::Drowsy { threshold } => threshold.hash(state),
-            PolicyKind::AdaptiveGated { interval_accesses } => interval_accesses.hash(state),
-            PolicyKind::Resizable { interval_accesses, slack } => {
-                interval_accesses.hash(state);
-                slack.to_bits().hash(state);
-            }
-            PolicyKind::StaticPullUp
-            | PolicyKind::Oracle
-            | PolicyKind::OnDemand
-            | PolicyKind::LeakageBiased
-            | PolicyKind::LocalityRecorder => {}
-        }
-    }
-}
+eq_hash_by_bits!(PolicyKind, p => {
+    let params = match *p {
+        PolicyKind::Gated { threshold }
+        | PolicyKind::GatedPredecode { threshold }
+        | PolicyKind::Drowsy { threshold } => (threshold, 0),
+        PolicyKind::AdaptiveGated { interval_accesses } => (interval_accesses, 0),
+        PolicyKind::Resizable { interval_accesses, slack } => (interval_accesses, slack.to_bits()),
+        PolicyKind::StaticPullUp
+        | PolicyKind::Oracle
+        | PolicyKind::OnDemand
+        | PolicyKind::LeakageBiased
+        | PolicyKind::LocalityRecorder => (0, 0),
+    };
+    (std::mem::discriminant(p), params)
+});
 
 impl PolicyKind {
     /// Instantiates the policy for a cache at a node.
@@ -207,11 +207,16 @@ impl PolicyKind {
     }
 }
 
-/// The CLI/protocol policy grammar: `static`, `oracle`, `ondemand` (or
-/// `on-demand`), `gated[:T]`, `gated-predecode[:T]` (or `predecode[:T]`),
-/// `adaptive[:INTERVAL]`, `leakage-biased` (or `lbb`), `drowsy[:T]`,
-/// `resizable[:INTERVAL]`. Shared by `bitline-sim --policy` and the
-/// `bitline-serve` request protocol so the two front doors cannot drift.
+/// The policy grammar, one family per `|`-separated entry: `T` is a decay
+/// threshold in cycles (default 100), `INTERVAL` accesses per adaptation
+/// or monitoring interval. The parse-error hint and `bitline-sim --help`
+/// both print this one list, so neither can omit a policy.
+pub const POLICY_GRAMMAR: &str = "static | oracle | ondemand | gated:T | gated-predecode:T | \
+    adaptive:INTERVAL | leakage-biased | drowsy:T | resizable:INTERVAL";
+
+/// Parses [`POLICY_GRAMMAR`], plus the aliases `on-demand`, `predecode[:T]`
+/// and `lbb`; the parameter of every family is optional. Every front door
+/// parses policies here, through [`SPEC_FIELDS`], so they cannot drift.
 impl std::str::FromStr for PolicyKind {
     type Err = String;
 
@@ -242,10 +247,7 @@ impl std::str::FromStr for PolicyKind {
                     .map_or(Ok(10_000), |a| a.parse().map_err(|_| format!("bad interval `{a}`")))?,
                 slack: 0.005,
             }),
-            other => Err(format!(
-                "unknown policy `{other}` (try static, oracle, ondemand, gated:T, \
-                 gated-predecode:T, resizable:INTERVAL)"
-            )),
+            other => Err(format!("unknown policy `{other}` (try {POLICY_GRAMMAR})")),
         }
     }
 }
@@ -280,27 +282,7 @@ pub struct FaultSpec {
     pub scrub_period: Option<u64>,
 }
 
-impl PartialEq for FaultSpec {
-    fn eq(&self, other: &Self) -> bool {
-        self.rate.to_bits() == other.rate.to_bits()
-            && self.seed == other.seed
-            && self.fail_safe == other.fail_safe
-            && self.ecc == other.ecc
-            && self.scrub_period == other.scrub_period
-    }
-}
-
-impl Eq for FaultSpec {}
-
-impl std::hash::Hash for FaultSpec {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.rate.to_bits().hash(state);
-        self.seed.hash(state);
-        self.fail_safe.hash(state);
-        self.ecc.hash(state);
-        self.scrub_period.hash(state);
-    }
-}
+eq_hash_by_bits!(FaultSpec, f => (f.rate.to_bits(), f.seed, f.fail_safe, f.ecc, f.scrub_period));
 
 impl FaultSpec {
     /// Detected upsets (DUEs with ECC) per subarray before fail-safe
@@ -355,15 +337,12 @@ impl FaultSpec {
 }
 
 impl Default for FaultSpec {
-    /// The stock spec is fault-free; the protection knobs additionally
-    /// honour the environment (`BITLINE_ECC`, `BITLINE_SCRUB_PERIOD`),
-    /// mirroring how `default_instructions` honours `BITLINE_INSTRS`, so
-    /// test harnesses and CI can arm ECC without threading flags.
+    /// The faults of [`SystemSpec::default`]: fault-free, with the
+    /// protection knobs taken from the environment (`BITLINE_ECC`,
+    /// `BITLINE_SCRUB_PERIOD`) so test harnesses and CI can arm ECC without
+    /// threading flags.
     fn default() -> Self {
-        let ecc = std::env::var("BITLINE_ECC").is_ok_and(|v| !v.is_empty() && v != "0");
-        let scrub_period =
-            std::env::var("BITLINE_SCRUB_PERIOD").ok().and_then(|v| v.parse::<u64>().ok());
-        FaultSpec { rate: 0.0, seed: 0xB17F_A017, fail_safe: false, ecc, scrub_period }
+        SystemSpec::default().faults
     }
 }
 
@@ -388,33 +367,14 @@ pub struct VddSpec {
     pub governor: bool,
 }
 
-impl PartialEq for VddSpec {
-    fn eq(&self, other: &Self) -> bool {
-        self.scale.to_bits() == other.scale.to_bits() && self.governor == other.governor
-    }
-}
-
-impl Eq for VddSpec {}
-
-impl std::hash::Hash for VddSpec {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.scale.to_bits().hash(state);
-        self.governor.hash(state);
-    }
-}
+eq_hash_by_bits!(VddSpec, v => (v.scale.to_bits(), v.governor));
 
 impl Default for VddSpec {
-    /// Nominal supply, governor off. Like `BITLINE_ECC`, the environment
-    /// (`BITLINE_VDD`, `BITLINE_VDD_GOVERNOR`) can opt a whole harness in
-    /// without threading flags.
+    /// The supply of [`SystemSpec::default`]: nominal with the governor
+    /// off, unless the environment (`BITLINE_VDD`, `BITLINE_VDD_GOVERNOR`)
+    /// opts a whole harness in.
     fn default() -> Self {
-        let scale = std::env::var("BITLINE_VDD")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(bitline_cmos::vdd::NOMINAL_VDD_SCALE);
-        let governor =
-            std::env::var("BITLINE_VDD_GOVERNOR").is_ok_and(|v| !v.is_empty() && v != "0");
-        VddSpec { scale, governor }
+        SystemSpec::default().vdd
     }
 }
 
@@ -633,22 +593,282 @@ impl SystemSpec {
     pub fn subarray_words(&self) -> u32 {
         u32::try_from(self.subarray_bytes / 8).unwrap_or(u32::MAX).max(1)
     }
+
+    /// The spec both front doors (`bitline-sim`, `bitline-serve`) start
+    /// from: the paper's main configuration, gated-predecode:100 on the
+    /// D-cache and gated:100 on the I-cache, over [`SystemSpec::default`].
+    #[must_use]
+    pub fn front_door() -> SystemSpec {
+        let d_policy = PolicyKind::GatedPredecode { threshold: 100 };
+        SystemSpec { d_policy, i_policy: d_policy.icache_default(), ..SystemSpec::default() }
+    }
 }
 
 impl Default for SystemSpec {
+    /// Static pull-up on both L1s, 1 KB subarrays, 150 000 instructions,
+    /// seed 42, no faults, the inert hierarchy and the nominal supply; then
+    /// each [`SPEC_FIELDS`] environment variable that is set.
     fn default() -> Self {
-        SystemSpec {
+        let faults = FaultSpec {
+            rate: 0.0,
+            seed: 0xB17F_A017,
+            fail_safe: false,
+            ecc: false,
+            scrub_period: None,
+        };
+        let mut spec = SystemSpec {
             d_policy: PolicyKind::StaticPullUp,
             i_policy: PolicyKind::StaticPullUp,
             subarray_bytes: 1024,
-            instructions: crate::default_instructions(),
+            instructions: 150_000,
             seed: 42,
             way_prediction: false,
-            faults: FaultSpec::default(),
+            faults,
             hierarchy: HierarchySpec::default(),
-            vdd: VddSpec::default(),
+            vdd: VddSpec::nominal(),
+        };
+        // Skips a malformed variable; the binaries refuse it at startup.
+        let _ = apply_env(&mut spec);
+        spec
+    }
+}
+
+/// A spec-field value as a front door received it.
+#[derive(Debug, Clone, Copy)]
+pub enum FieldInput<'a> {
+    /// A `bitline-sim` argument or an environment variable; a switch is on
+    /// unless it reads `0` (a bare CLI switch reads as `1`).
+    Text(&'a str),
+    /// A `bitline-serve` spec value: a boolean for a switch, an unsigned
+    /// integer for a count, a number for a real, else a string.
+    Json(&'a Json),
+}
+
+impl<'a> FieldInput<'a> {
+    fn number<T: std::str::FromStr>(
+        self,
+        what: &str,
+        json: fn(&Json) -> Result<T, String>,
+    ) -> Result<T, String> {
+        match self {
+            FieldInput::Text(t) => t.parse().map_err(|_| format!("expected {what}, got `{t}`")),
+            FieldInput::Json(value) => json(value),
         }
     }
+
+    fn text(self) -> Result<&'a str, String> {
+        match self {
+            FieldInput::Text(text) => Ok(text),
+            FieldInput::Json(Json::Str(text)) => Ok(text),
+            FieldInput::Json(_) => Err("expected a string".to_owned()),
+        }
+    }
+}
+
+/// Where a field's value lands, typed by the kind of value it takes; a
+/// count or real setter may refuse a value (model ranges stay in
+/// [`SystemSpec::validate`]).
+#[derive(Clone, Copy)]
+enum Setter {
+    Switch(fn(&mut SystemSpec, bool)),
+    Count(fn(&mut SystemSpec, u64) -> Result<(), String>),
+    Real(fn(&mut SystemSpec, f64) -> Result<(), String>),
+    Policy(fn(&mut SystemSpec, PolicyKind)),
+    Leakage(fn(&mut SystemSpec, LeakageKind)),
+}
+
+/// One user-settable [`SystemSpec`] knob, declared once for every front
+/// door.
+pub struct SpecField {
+    /// Key in a `bitline-serve` request's `spec` object.
+    pub key: &'static str,
+    /// `bitline-sim` flag.
+    pub flag: &'static str,
+    /// `bitline-sim` short alias.
+    pub alias: Option<&'static str>,
+    /// Environment variable read by [`SystemSpec::default`].
+    pub env: Option<&'static str>,
+    /// The value's placeholder in `--help` (empty for a switch).
+    arg: &'static str,
+    help: &'static str,
+    set: Setter,
+}
+
+impl SpecField {
+    /// Parses `input` as this field's kind and applies it to `spec`.
+    fn apply(&self, spec: &mut SystemSpec, input: FieldInput<'_>) -> Result<(), String> {
+        match (self.set, input) {
+            (Setter::Switch(set), FieldInput::Text(text)) => set(spec, text != "0"),
+            (Setter::Switch(set), FieldInput::Json(Json::Bool(on))) => set(spec, *on),
+            (Setter::Switch(_), _) => return Err("expected a boolean".to_owned()),
+            (Setter::Count(set), _) => set(spec, input.number("an unsigned integer", json_u64)?)?,
+            (Setter::Real(set), _) => {
+                // `"nan".parse::<f64>()` succeeds and JSON `1e999` is +inf;
+                // either would poison a probability draw or an energy total.
+                let x = input.number("a number", json_f64)?;
+                if !x.is_finite() {
+                    return Err(format!("must be finite, got {x}"));
+                }
+                set(spec, x)?;
+            }
+            (Setter::Policy(set), _) => set(spec, input.text()?.parse()?),
+            (Setter::Leakage(set), _) => set(spec, input.text()?.parse()?),
+        }
+        Ok(())
+    }
+}
+
+/// Every user-settable [`SystemSpec`] field, in application order: the
+/// `d_policy` setter derives the I-cache policy, so `i_policy` follows it
+/// and an explicit I-cache policy wins in whatever order values arrive.
+#[rustfmt::skip]
+pub static SPEC_FIELDS: [SpecField; 16] = [
+    SpecField { key: "d_policy", flag: "--policy", alias: Some("-p"), env: None, arg: "P",
+        help: "D-cache precharge policy (default gated-predecode:100); also sets the I-cache \
+               policy, with predecode gating falling back to plain gating",
+        set: Setter::Policy(|s, p| { s.d_policy = p; s.i_policy = p.icache_default(); }) },
+    SpecField { key: "i_policy", flag: "--icache-policy", alias: None, env: None, arg: "P",
+        help: "I-cache precharge policy (default: derived from --policy)",
+        set: Setter::Policy(|s, p| s.i_policy = p) },
+    SpecField { key: "subarray_bytes", flag: "--subarray", alias: None, env: None, arg: "BYTES",
+        help: "subarray size of both L1s, a power of two in 32..=32768 (default 1024)",
+        set: Setter::Count(|s, n| { s.subarray_bytes = usize::try_from(n).map_err(|e| e.to_string())?; Ok(()) }) },
+    SpecField { key: "instructions", flag: "--instructions", alias: Some("-i"), env: Some("BITLINE_INSTRS"),
+        arg: "N", help: "instructions to simulate per run (default 150000)",
+        set: Setter::Count(|s, n| { s.instructions = n; Ok(()) }) },
+    SpecField { key: "seed", flag: "--seed", alias: None, env: None, arg: "S", help: "workload seed (default 42)",
+        set: Setter::Count(|s, n| { s.seed = n; Ok(()) }) },
+    SpecField { key: "way_prediction", flag: "--way-prediction", alias: None, env: None, arg: "",
+        help: "enable MRU way prediction on both L1s", set: Setter::Switch(|s, on| s.way_prediction = on) },
+    SpecField { key: "fault_rate", flag: "--fault-rate", alias: None, env: None, arg: "P",
+        help: "sense-margin upset probability per cold access, in [0,1] (default 0 = off)",
+        set: Setter::Real(|s, rate| if (0.0..=1.0).contains(&rate) { s.faults.rate = rate; Ok(()) }
+            else { Err(format!("{rate} is not a probability (want 0 ..= 1)")) }) },
+    SpecField { key: "fault_seed", flag: "--fault-seed", alias: None, env: None, arg: "S",
+        help: "fault-injector seed (default: a fixed constant)", set: Setter::Count(|s, n| { s.faults.seed = n; Ok(()) }) },
+    SpecField { key: "fail_safe", flag: "--fail-safe", alias: None, env: None, arg: "",
+        help: "pin upset-prone subarrays back to static pull-up", set: Setter::Switch(|s, on| s.faults.fail_safe = on) },
+    SpecField { key: "ecc", flag: "--ecc", alias: None, env: Some("BITLINE_ECC"), arg: "",
+        help: "protect words with (72,64) SECDED: singles correct in place, doubles replay as DUEs",
+        set: Setter::Switch(|s, on| s.faults.ecc = on) },
+    SpecField { key: "scrub_period", flag: "--scrub-period", alias: None, env: Some("BITLINE_SCRUB_PERIOD"),
+        arg: "N", help: "background-scrub sweep period in cycles, e.g. 8192 (needs --ecc)",
+        set: Setter::Count(|s, n| if n > 0 { s.faults.scrub_period = Some(n); Ok(()) }
+            else { Err("0 would scrub continuously; give a period in cycles, e.g. 8192".into()) }) },
+    SpecField { key: "levels", flag: "--levels", alias: None, env: None, arg: "N",
+        help: "cache levels: 1 = L1s only (default), 2 manages the L2, 3 adds an L3 behind it",
+        set: Setter::Count(|s, n| { s.hierarchy.levels = u8::try_from(n).map_err(|e| e.to_string())?; Ok(()) }) },
+    SpecField { key: "l2_policy", flag: "--l2-policy", alias: None, env: None, arg: "P",
+        help: "outer-level precharge policy (default static; needs --levels 2 or 3)",
+        set: Setter::Policy(|s, p| s.hierarchy.l2_policy = p) },
+    SpecField { key: "leakage_mode", flag: "--leakage-mode", alias: None, env: None, arg: "M",
+        help: "cell-array leakage control on every level, priced only, never cycles (default full-vdd)",
+        set: Setter::Leakage(|s, m| s.hierarchy.leakage_mode = m) },
+    SpecField { key: "vdd", flag: "--vdd", alias: None, env: Some("BITLINE_VDD"), arg: "S",
+        help: "L1 supply as a fraction of nominal, 0.6..=1.1 (default 1.0); below the sense \
+               guardband cold reads speculate and mis-senses replay",
+        set: Setter::Real(|s, scale| { s.vdd.scale = scale; Ok(()) }) },
+    SpecField { key: "vdd_governor", flag: "--vdd-governor", alias: None, env: Some("BITLINE_VDD_GOVERNOR"),
+        arg: "", help: "per-subarray guardband ladder: escalate toward nominal on replay storms, \
+                        relax when clean, pin after repeated escalation",
+        set: Setter::Switch(|s, on| s.vdd.governor = on) },
+];
+
+/// Builds a spec the way every front door does: [`SystemSpec::front_door`],
+/// then each given input applied in table order, the last one given for a
+/// field winning.
+///
+/// # Errors
+///
+/// The first field, in table order, whose input is refused, with why: the
+/// wrong kind of value, a non-finite number, a `fault_rate` outside
+/// `[0, 1]`, a zero `scrub_period`, or a count too large for its field.
+pub fn build_spec<'a>(
+    given: impl IntoIterator<Item = (&'static SpecField, FieldInput<'a>)>,
+) -> Result<SystemSpec, (&'static SpecField, String)> {
+    let mut inputs = [None; SPEC_FIELDS.len()];
+    for (field, input) in given {
+        if let Some(row) = SPEC_FIELDS.iter().position(|f| f.key == field.key) {
+            inputs[row] = Some(input);
+        }
+    }
+    let mut spec = SystemSpec::front_door();
+    for (field, input) in SPEC_FIELDS.iter().zip(inputs) {
+        if let Some(input) = input {
+            field.apply(&mut spec, input).map_err(|e| (field, e))?;
+        }
+    }
+    Ok(spec)
+}
+
+/// Parses a `bitline-sim` argument list: the [`SPEC_FIELDS`] flags build
+/// the spec, and every other argument goes to `other` with the iterator,
+/// so it can take its own value.
+///
+/// # Errors
+///
+/// A message naming the flag, or whatever `other` returns.
+pub fn parse_cli<I: Iterator<Item = String>>(
+    mut argv: I,
+    mut other: impl FnMut(&str, &mut I) -> Result<(), String>,
+) -> Result<SystemSpec, String> {
+    let mut given = Vec::new();
+    while let Some(arg) = argv.next() {
+        match SPEC_FIELDS.iter().find(|f| f.flag == arg || f.alias == Some(arg.as_str())) {
+            Some(field) if matches!(field.set, Setter::Switch(_)) => {
+                given.push((field, "1".into()))
+            }
+            Some(field) => {
+                given.push((field, argv.next().ok_or_else(|| format!("{arg} needs a value"))?));
+            }
+            None => other(&arg, &mut argv)?,
+        }
+    }
+    build_spec(given.iter().map(|(field, text)| (*field, FieldInput::Text(text))))
+        .map_err(|(field, e)| format!("{}: {e}", field.flag))
+}
+
+/// The `bitline-sim --help` lines for the [`SPEC_FIELDS`] flags, each with
+/// its environment variable and `bitline-serve` key, then the policy and
+/// leakage-mode grammars.
+#[must_use]
+pub fn spec_help() -> String {
+    let mut out = String::new();
+    let mut entry = |mut head: &str, text: &str| {
+        let mut line = String::new();
+        for word in text.split_whitespace() {
+            if !line.is_empty() && line.len() + word.len() >= 52 {
+                let _ = writeln!(out, "  {head:<24}{line}");
+                (head, line) = ("", String::new());
+            }
+            line = if line.is_empty() { word.to_owned() } else { format!("{line} {word}") };
+        }
+        let _ = writeln!(out, "  {head:<24}{line}");
+    };
+    for f in &SPEC_FIELDS {
+        let alias = f.alias.map_or_else(|| "    ".to_owned(), |a| format!("{a}, "));
+        let env = f.env.map(|var| format!(" (env {var})")).unwrap_or_default();
+        entry(&format!("{alias}{} {}", f.flag, f.arg), &format!("{}{env} [{}]", f.help, f.key));
+    }
+    entry("P (policy)", POLICY_GRAMMAR);
+    entry("M (leakage mode)", &LeakageKind::ALL.map(|m| m.label()).join(" | "));
+    out
+}
+
+/// Applies each set, non-empty [`SPEC_FIELDS`] environment variable to
+/// `spec`. A malformed one is skipped, and the first is returned, named:
+/// the binaries refuse it at startup (`init_supervision_from_env`) instead of
+/// silently running the default.
+pub(crate) fn apply_env(spec: &mut SystemSpec) -> Result<(), String> {
+    let mut first_error = Ok(());
+    for field in &SPEC_FIELDS {
+        let Some(var) = field.env else { continue };
+        let Some(text) = std::env::var(var).ok().filter(|t| !t.is_empty()) else { continue };
+        if let Err(e) = field.apply(spec, FieldInput::Text(&text)) {
+            first_error = first_error.and(Err(format!("{var}={text}: {e}")));
+        }
+    }
+    first_error
 }
 
 #[cfg(test)]
@@ -942,6 +1162,26 @@ mod tests {
             .to_config(TechnologyNode::N70)
             .expect("expands");
         assert!(!safe.speculating());
+    }
+
+    #[test]
+    fn every_policy_in_the_error_hint_parses() {
+        let hint = "warp".parse::<PolicyKind>().unwrap_err();
+        let entries: Vec<&str> = POLICY_GRAMMAR.split(" | ").collect();
+        let families: Vec<&str> = entries.iter().map(|e| e.split(':').next().unwrap()).collect();
+        for (entry, family) in entries.iter().zip(&families) {
+            assert!(hint.contains(entry), "the hint omits {entry}: {hint}");
+            // Bare (default parameter) and with an explicit one.
+            let bare = family.parse::<PolicyKind>().unwrap();
+            if entry.contains(':') {
+                let explicit = format!("{family}:7").parse::<PolicyKind>().unwrap();
+                assert_ne!(bare, explicit, "{entry}");
+            }
+        }
+        // One entry per family: every policy label is covered.
+        let labels: std::collections::HashSet<&str> =
+            families.iter().map(|f| f.parse::<PolicyKind>().unwrap().label()).collect();
+        assert_eq!(labels.len(), entries.len());
     }
 
     #[test]

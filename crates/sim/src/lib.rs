@@ -51,7 +51,10 @@ mod runner;
 pub mod supervise;
 
 pub use bitline_energy::LeakageKind;
-pub use config::{FaultSpec, HierarchySpec, PolicyKind, SystemSpec, VddSpec};
+pub use config::{
+    build_spec, parse_cli, spec_help, FaultSpec, FieldInput, HierarchySpec, PolicyKind, SpecField,
+    SystemSpec, VddSpec, POLICY_GRAMMAR, SPEC_FIELDS,
+};
 pub use error::SimError;
 pub use execution::{
     checkpoint_stats, clear_checkpoint, clear_run_caches, exec_summary_line, run_benchmark_cached,
@@ -66,18 +69,19 @@ pub use runner::{
 /// Applies the supervision environment variables: `BITLINE_RUN_BUDGET`
 /// (per-run wall-clock budget) and `BITLINE_CHECKPOINT` (checkpoint
 /// directory; `BITLINE_NO_RESUME=1` starts its journal afresh), and
-/// validates `BITLINE_JOBS` fail-fast (zero or garbage is an error, not a
-/// silent fallback). The CLI flags override these; bench harnesses call
-/// only this.
+/// validates `BITLINE_JOBS` and the spec defaults (`BITLINE_INSTRS`, ...)
+/// fail-fast: zero or garbage is an error, not a silent fallback. The CLI
+/// flags override these; bench harnesses call only this.
 ///
 /// # Errors
 ///
-/// A human-readable message for a malformed budget or an unopenable
+/// A human-readable message naming a malformed variable or an unopenable
 /// checkpoint directory.
 pub fn init_supervision_from_env() -> Result<(), String> {
     // Fail fast on BITLINE_JOBS=0 or garbage instead of the pool's silent
     // auto fallback, matching the `--scrub-period 0` precedent.
     bitline_exec::pool::jobs_from_env()?;
+    config::apply_env(&mut SystemSpec::default())?;
     supervise::init_run_budget_from_env()?;
     // Arm BITLINE_FAILPOINTS (and its seed) now so a malformed spec kills
     // the driver at startup instead of a one-time warning mid-run.
@@ -94,5 +98,5 @@ pub fn init_supervision_from_env() -> Result<(), String> {
 /// `BITLINE_INSTRS` environment variable.
 #[must_use]
 pub fn default_instructions() -> u64 {
-    std::env::var("BITLINE_INSTRS").ok().and_then(|v| v.parse().ok()).unwrap_or(150_000)
+    SystemSpec::default().instructions
 }
