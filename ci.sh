@@ -56,8 +56,9 @@ smoke() {
     # are about determinism, not speed, so oversubscribe.
     if [[ "$jobs_n" -lt 2 ]]; then jobs_n=4; fi
 
-    echo "==> smoke: build headline driver"
-    cargo bench -p bitline-bench --bench headline --no-run -q
+    echo "==> smoke: build bitline-sim (release)"
+    cargo build --release -q -p bitline-sim
+    local sim_release=./target/release/bitline-sim
 
     SMOKE_TMP="$(mktemp -d)"
     trap 'rm -rf "$SMOKE_TMP"' EXIT
@@ -68,14 +69,14 @@ smoke() {
     local t0 t1 secs_serial secs_parallel
     t0=$(date +%s.%N)
     BITLINE_INSTRS="$instrs" BITLINE_JOBS=1 BITLINE_METRICS="$SMOKE_TMP/headline1.jsonl" \
-        cargo bench -p bitline-bench --bench headline -q >"$out_serial" 2>"$err_serial"
+        "$sim_release" headline >"$out_serial" 2>"$err_serial"
     t1=$(date +%s.%N)
     secs_serial=$(echo "$t1 $t0" | awk '{printf "%.3f", $1 - $2}')
 
     echo "==> smoke: headline at jobs=$jobs_n"
     t0=$(date +%s.%N)
     BITLINE_INSTRS="$instrs" BITLINE_JOBS="$jobs_n" \
-        cargo bench -p bitline-bench --bench headline -q >"$out_parallel" 2>"$err_parallel"
+        "$sim_release" headline >"$out_parallel" 2>"$err_parallel"
     t1=$(date +%s.%N)
     secs_parallel=$(echo "$t1 $t0" | awk '{printf "%.3f", $1 - $2}')
 
@@ -85,8 +86,8 @@ smoke() {
         exit 1
     fi
 
-    # The drivers report "[exec] jobs=N; run-cache: H hits, M misses, ..."
-    # on stderr; pull the parallel run's cache stats into the report.
+    # The CLI reports "jobs=N; run-cache: H hits, M misses, ..." on
+    # stderr; pull the parallel run's cache stats into the report.
     local hits misses
     hits=$(sed -n 's/.*run-cache: \([0-9]*\) hits.*/\1/p' "$err_parallel" | tail -n 1)
     misses=$(sed -n 's/.*hits, \([0-9]*\) misses.*/\1/p' "$err_parallel" | tail -n 1)
@@ -717,13 +718,10 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
+# `default-members` in Cargo.toml makes the root command test every
+# workspace crate, not only the facade package.
 echo "==> cargo test -q"
 cargo test -q
-
-# The root command builds only the facade package; the spec table, both
-# front doors and the failpoint registry are tested in their own crates.
-echo "==> cargo test -q -p bitline-sim -p bitline-serve -p bitline-failpoint"
-cargo test -q -p bitline-sim -p bitline-serve -p bitline-failpoint
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings

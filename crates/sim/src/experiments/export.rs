@@ -1,28 +1,18 @@
-//! Gnuplot-friendly `.dat` export of the figure series.
+//! Gnuplot-friendly `.dat` export of the experiment tables.
 //!
-//! Every bench harness prints its table as text; setting
-//! `BITLINE_EXPORT_DIR` additionally writes whitespace-separated data
-//! files suitable for gnuplot/pgfplots, one per figure, so the paper's
-//! plots can be regenerated graphically:
+//! Every experiment renders one whitespace-separated text table (see
+//! [`EXPERIMENTS`](super::EXPERIMENTS)); setting `BITLINE_EXPORT_DIR` makes
+//! `bitline-sim <name>` also write exactly what it printed to
+//! `<dir>/<name>.dat`, so the paper's plots can be regenerated
+//! graphically:
 //!
 //! ```sh
-//! BITLINE_EXPORT_DIR=plots cargo bench -p bitline-bench --bench fig9
+//! BITLINE_EXPORT_DIR=plots bitline-sim fig9
 //! gnuplot -e "plot 'plots/fig9.dat' using 1:2 with lines"
 //! ```
 
-use std::fmt::Write;
 use std::io;
 use std::path::{Path, PathBuf};
-
-use crate::experiments::fig10::Fig10Row;
-use crate::experiments::fig2::Fig2Series;
-use crate::experiments::fig3::Fig3Row;
-use crate::experiments::fig8::Fig8Row;
-use crate::experiments::fig9::Fig9Row;
-use crate::experiments::hierarchy::HierarchyRow;
-use crate::experiments::ondemand::OnDemandRow;
-use crate::experiments::reliability::ReliabilityRow;
-use crate::experiments::voltage::VoltageRow;
 
 /// The export directory requested via `BITLINE_EXPORT_DIR`, if any.
 #[must_use]
@@ -30,230 +20,17 @@ pub fn export_dir() -> Option<PathBuf> {
     std::env::var_os("BITLINE_EXPORT_DIR").map(PathBuf::from)
 }
 
-/// Renders the whole file in memory, then publishes it with a temp-file +
-/// rename so a crash mid-export never leaves a truncated `.dat` behind.
-fn publish(dir: &Path, name: &str, contents: &str) -> io::Result<PathBuf> {
+/// Writes `text` to `<dir>/<name>.dat` with a temp-file + rename, so a
+/// crash mid-export never leaves a truncated `.dat` behind.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn publish(dir: &Path, name: &str, text: &str) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = dir.join(name);
-    bitline_exec::atomic_write(&path, contents.as_bytes())?;
+    let path = dir.join(format!("{name}.dat"));
+    bitline_exec::atomic_write(&path, text.as_bytes())?;
     Ok(path)
-}
-
-/// Writes Figure 2's transient series: `t_ns  p(180)  p(130)  p(100)  p(70)`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_fig2(dir: &Path, series: &[Fig2Series]) -> io::Result<PathBuf> {
-    let mut f = String::new();
-    let _ = writeln!(f, "# t_ns  normalized_power per node");
-    let _ = write!(f, "# t");
-    for s in series {
-        let _ = write!(f, " {}", s.node);
-    }
-    let _ = writeln!(f);
-    let points = series.first().map_or(0, |s| s.points.len());
-    for i in 0..points {
-        let _ = write!(f, "{:.2}", series[0].points[i].t_ns);
-        for s in series {
-            let _ = write!(f, " {:.5}", s.points[i].normalized_power);
-        }
-        let _ = writeln!(f);
-    }
-    publish(dir, "fig2.dat", &f)
-}
-
-/// Writes Figure 3's per-benchmark bars: `benchmark  d_relative  i_relative`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_fig3(dir: &Path, rows: &[Fig3Row]) -> io::Result<PathBuf> {
-    let mut f = String::new();
-    let _ = writeln!(f, "# benchmark  d_relative_discharge  i_relative_discharge");
-    for r in rows {
-        let _ = writeln!(f, "{} {:.5} {:.5}", r.benchmark, r.d_relative, r.i_relative);
-    }
-    publish(dir, "fig3.dat", &f)
-}
-
-/// Writes Figure 8's per-benchmark bars:
-/// `benchmark  d_precharged  d_discharge  d_threshold  d_slowdown` then
-/// the same four I-cache columns.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_fig8(dir: &Path, rows: &[Fig8Row]) -> io::Result<PathBuf> {
-    let mut f = String::new();
-    let _ = writeln!(
-        f,
-        "# benchmark  d_precharged d_discharge d_threshold d_slowdown  \
-         i_precharged i_discharge i_threshold i_slowdown"
-    );
-    for r in rows {
-        let _ = writeln!(
-            f,
-            "{} {:.5} {:.5} {} {:.5} {:.5} {:.5} {} {:.5}",
-            r.benchmark,
-            r.d_precharged,
-            r.d_discharge,
-            r.d_threshold,
-            r.d_slowdown,
-            r.i_precharged,
-            r.i_discharge,
-            r.i_threshold,
-            r.i_slowdown
-        );
-    }
-    publish(dir, "fig8.dat", &f)
-}
-
-/// Writes the Section 5 on-demand slowdowns:
-/// `benchmark  d_slowdown  i_slowdown`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_ondemand(dir: &Path, rows: &[OnDemandRow]) -> io::Result<PathBuf> {
-    let mut f = String::new();
-    let _ = writeln!(f, "# benchmark  d_slowdown  i_slowdown");
-    for r in rows {
-        let _ = writeln!(f, "{} {:.5} {:.5}", r.benchmark, r.d_slowdown, r.i_slowdown);
-    }
-    publish(dir, "ondemand.dat", &f)
-}
-
-/// Writes Figure 9's per-node series:
-/// `feature_nm  gated_d  gated_i  resizable_d  resizable_i`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_fig9(dir: &Path, rows: &[Fig9Row]) -> io::Result<PathBuf> {
-    let mut f = String::new();
-    let _ = writeln!(f, "# feature_nm  gated_d  gated_i  resizable_d  resizable_i");
-    for r in rows {
-        let _ = writeln!(
-            f,
-            "{} {:.5} {:.5} {:.5} {:.5}",
-            r.node.feature_nm(),
-            r.gated_d,
-            r.gated_i,
-            r.resizable_d,
-            r.resizable_i
-        );
-    }
-    publish(dir, "fig9.dat", &f)
-}
-
-/// Writes Figure 10's per-size series: `subarray_bytes  d_frac  i_frac`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_fig10(dir: &Path, rows: &[Fig10Row]) -> io::Result<PathBuf> {
-    let mut f = String::new();
-    let _ = writeln!(f, "# subarray_bytes  d_precharged  i_precharged");
-    for r in rows {
-        let _ = writeln!(f, "{} {:.5} {:.5}", r.subarray_bytes, r.d_precharged, r.i_precharged);
-    }
-    publish(dir, "fig10.dat", &f)
-}
-
-/// Writes the reliability table:
-/// `feature_nm  policy  protection  corrected_per_mi  due_per_mi
-/// sdc_per_mi  energy_overhead  fail_safe_subarrays`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_reliability(dir: &Path, rows: &[ReliabilityRow]) -> io::Result<PathBuf> {
-    let mut f = String::new();
-    let _ = writeln!(
-        f,
-        "# feature_nm  policy  protection  corrected_per_mi  due_per_mi  \
-         sdc_per_mi  energy_overhead  fail_safe_subarrays"
-    );
-    for r in rows {
-        let _ = writeln!(
-            f,
-            "{} {} {} {:.5} {:.5} {:.5} {:.5} {}",
-            r.node.feature_nm(),
-            r.policy,
-            r.protection.label(),
-            r.corrected_per_mi,
-            r.due_per_mi,
-            r.sdc_per_mi,
-            r.energy_overhead,
-            r.fail_safe_subarrays
-        );
-    }
-    publish(dir, "reliability.dat", &f)
-}
-
-/// Writes the hierarchy table:
-/// `feature_nm  levels  mode  l2_miss_ratio  l1_j  l2_j  l3_j  total_j
-/// vs_full_vdd`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_hierarchy(dir: &Path, rows: &[HierarchyRow]) -> io::Result<PathBuf> {
-    let mut f = String::new();
-    let _ = writeln!(
-        f,
-        "# feature_nm  levels  mode  l2_miss_ratio  l1_j  l2_j  l3_j  total_j  vs_full_vdd"
-    );
-    for r in rows {
-        let _ = writeln!(
-            f,
-            "{} {} {} {:.5} {:.6e} {:.6e} {:.6e} {:.6e} {:.5}",
-            r.node.feature_nm(),
-            r.levels,
-            r.mode.label(),
-            r.l2_miss_ratio,
-            r.l1_energy_j,
-            r.l2_energy_j,
-            r.l3_energy_j,
-            r.total_j,
-            r.vs_full_vdd
-        );
-    }
-    publish(dir, "hierarchy.dat", &f)
-}
-
-/// Writes the voltage table:
-/// `feature_nm  vdd_scale  mode  p_upset  energy_per_access_j
-/// vs_nominal  replay_overhead  sdc_per_mi  escalations  pinned`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_voltage(dir: &Path, rows: &[VoltageRow]) -> io::Result<PathBuf> {
-    let mut f = String::new();
-    let _ = writeln!(
-        f,
-        "# feature_nm  vdd_scale  mode  p_upset  energy_per_access_j  vs_nominal  \
-         replay_overhead  sdc_per_mi  escalations  pinned"
-    );
-    for r in rows {
-        let _ = writeln!(
-            f,
-            "{} {:.2} {} {:.5} {:.6e} {:.5} {:.5} {:.5} {} {}",
-            r.node.feature_nm(),
-            r.vdd_scale,
-            if r.governed { "governor" } else { "static" },
-            r.p_upset,
-            r.energy_per_access_j,
-            r.energy_vs_nominal,
-            r.replay_overhead,
-            r.sdc_per_mi,
-            r.escalations,
-            r.pinned_subarrays
-        );
-    }
-    publish(dir, "voltage.dat", &f)
 }
 
 #[cfg(test)]
@@ -263,10 +40,11 @@ mod tests {
 
     #[test]
     fn fig2_export_round_trips_through_text() {
-        let dir = std::env::temp_dir().join("bitline-export-test");
-        let series = fig2::run(11);
-        let path = write_fig2(&dir, &series).expect("export succeeds");
-        let text = std::fs::read_to_string(&path).expect("file exists");
+        let dir = std::env::temp_dir().join(format!("bitline-export-test-{}", std::process::id()));
+        let text = fig2::render(&fig2::run(11));
+        let path = publish(&dir, "fig2", &text).expect("export succeeds");
+        assert_eq!(path.file_name().and_then(|n| n.to_str()), Some("fig2.dat"));
+        assert_eq!(std::fs::read_to_string(&path).expect("file exists"), text);
         let data_lines: Vec<&str> =
             text.lines().filter(|l| !l.starts_with('#') && !l.is_empty()).collect();
         assert_eq!(data_lines.len(), 11);

@@ -1,5 +1,7 @@
 //! Figure 10: effect of subarray size on gated precharging.
 
+use std::fmt::Write as _;
+
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
@@ -90,6 +92,17 @@ pub fn run(instrs: u64) -> Result<Vec<Fig10Row>, SimError> {
             })
         })
         .collect()
+}
+
+/// Renders Figure 10's per-size series, one line per row:
+/// `subarray_bytes  d_precharged  i_precharged`.
+#[must_use]
+pub fn render(rows: &[Fig10Row]) -> String {
+    let mut f = String::from("# subarray_bytes  d_precharged  i_precharged\n");
+    for r in rows {
+        let _ = writeln!(f, "{} {:.5} {:.5}", r.subarray_bytes, r.d_precharged, r.i_precharged);
+    }
+    f
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Figure 2: power dissipation through bitlines after isolation.
 
+use std::fmt::Write as _;
+
 use bitline_cache::CacheConfig;
 use bitline_circuit::{BitlineModel, TransientPoint, TransientSim};
 use bitline_cmos::TechnologyNode;
@@ -33,6 +35,32 @@ pub fn run(points: usize) -> Vec<Fig2Series> {
             }
         })
         .collect()
+}
+
+/// Renders Figure 2's transient series, one line per time step
+/// (`t_ns` then one normalised-power column per node), followed by each
+/// node's break-even idle time as a trailing comment.
+#[must_use]
+pub fn render(series: &[Fig2Series]) -> String {
+    let mut f = String::from("# t_ns  normalized_power per node\n# t");
+    for s in series {
+        let _ = write!(f, " {}", s.node);
+    }
+    f.push('\n');
+    let points = series.first().map_or(0, |s| s.points.len());
+    for i in 0..points {
+        let _ = write!(f, "{:.2}", series[0].points[i].t_ns);
+        for s in series {
+            let _ = write!(f, " {:.5}", s.points[i].normalized_power);
+        }
+        f.push('\n');
+    }
+    f.push_str("# break-even idle cycles per isolation episode:");
+    for s in series {
+        let _ = write!(f, " {} {:.0}", s.node, s.break_even_cycles);
+    }
+    f.push('\n');
+    f
 }
 
 #[cfg(test)]

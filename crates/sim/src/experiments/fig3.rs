@@ -1,5 +1,7 @@
 //! Figure 3: potential bitline discharge savings (the oracle study).
 
+use std::fmt::Write as _;
+
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
@@ -49,6 +51,17 @@ pub fn run(instrs: u64) -> Result<(Vec<Fig3Row>, Fig3Row), SimError> {
         i_relative: rows.iter().map(|r| r.i_relative).sum::<f64>() / rows.len() as f64,
     };
     Ok((rows, avg))
+}
+
+/// Renders Figure 3's bars, one line per row:
+/// `benchmark  d_relative_discharge  i_relative_discharge`.
+#[must_use]
+pub fn render(rows: &[Fig3Row]) -> String {
+    let mut f = String::from("# benchmark  d_relative_discharge  i_relative_discharge\n");
+    for r in rows {
+        let _ = writeln!(f, "{} {:.5} {:.5}", r.benchmark, r.d_relative, r.i_relative);
+    }
+    f
 }
 
 #[cfg(test)]

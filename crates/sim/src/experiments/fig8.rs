@@ -1,6 +1,8 @@
 //! Figure 8: gated precharging's precharged-subarray fraction and relative
 //! bitline discharge, per benchmark, at 70 nm.
 
+use std::fmt::Write as _;
+
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
@@ -117,6 +119,33 @@ pub fn run(instrs: u64) -> Result<(Vec<Fig8Row>, Fig8Summary), SimError> {
     let summary =
         Fig8Summary { avg, const_d_discharge: const_d / n, const_i_discharge: const_i / n };
     Ok((rows, summary))
+}
+
+/// Renders Figure 8's bars, one line per row:
+/// `benchmark  d_precharged  d_discharge  d_threshold  d_slowdown` then
+/// the same four I-cache columns.
+#[must_use]
+pub fn render(rows: &[Fig8Row]) -> String {
+    let mut f = String::from(
+        "# benchmark  d_precharged d_discharge d_threshold d_slowdown  \
+         i_precharged i_discharge i_threshold i_slowdown\n",
+    );
+    for r in rows {
+        let _ = writeln!(
+            f,
+            "{} {:.5} {:.5} {} {:.5} {:.5} {:.5} {} {:.5}",
+            r.benchmark,
+            r.d_precharged,
+            r.d_discharge,
+            r.d_threshold,
+            r.d_slowdown,
+            r.i_precharged,
+            r.i_discharge,
+            r.i_threshold,
+            r.i_slowdown
+        );
+    }
+    f
 }
 
 #[cfg(test)]

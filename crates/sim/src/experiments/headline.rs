@@ -1,5 +1,7 @@
 //! The paper's headline result (abstract / conclusions).
 
+use std::fmt::Write as _;
+
 use bitline_cmos::TechnologyNode;
 use bitline_energy::ProcessorEnergyModel;
 use bitline_workloads::suite;
@@ -84,6 +86,38 @@ pub fn run(instrs: u64) -> Result<Headline, SimError> {
         cache_fraction_of_processor: cache_frac / n,
         replay_overhead: replay_ovh / n,
     })
+}
+
+/// Renders the headline as one labelled line per metric pair, after a
+/// title line naming the per-run instruction budget.
+#[must_use]
+pub fn render(h: &Headline, instrs: u64) -> String {
+    let mut f = format!("== headline @ 70nm ({instrs} instructions/run) ==\n");
+    for (label, d, i) in [
+        ("discharge reduction ", h.d_discharge_reduction, h.i_discharge_reduction),
+        ("overall reduction   ", h.d_overall_reduction, h.i_overall_reduction),
+    ] {
+        let _ = writeln!(f, "  {label} D {:5.1}%  I {:5.1}%", 100.0 * d, 100.0 * i);
+    }
+    let _ = writeln!(
+        f,
+        "  slowdown             D {:5.2}%  I {:5.2}%",
+        100.0 * h.d_slowdown,
+        100.0 * h.i_slowdown
+    );
+    let _ = writeln!(
+        f,
+        "  precharged fraction  D {:5.1}%  I {:5.1}%",
+        100.0 * h.d_precharged,
+        100.0 * h.i_precharged
+    );
+    let _ = writeln!(
+        f,
+        "  cache share of processor energy {:4.1}%  replay overhead {:5.2}%",
+        100.0 * h.cache_fraction_of_processor,
+        100.0 * h.replay_overhead
+    );
+    f
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Figures 5 and 6: subarray reference locality.
 
+use std::fmt::Write as _;
+
 use crate::experiments::harness;
 use crate::{
     try_run_benchmark_cached, LocalityStats, PolicyKind, SimError, SystemSpec, FIG5_BUCKETS,
@@ -77,6 +79,48 @@ pub fn threshold_labels() -> Vec<String> {
 #[must_use]
 pub fn average_hot_fraction(rows: &[LocalityRow], idx: usize) -> f64 {
     rows.iter().map(|r| r.hot_fraction[idx]).sum::<f64>() / rows.len() as f64
+}
+
+/// Renders Figure 5: per cache (`d`, `i`) and benchmark, the fraction
+/// of accesses whose subarray interval is at most each bucket.
+#[must_use]
+pub fn render_fig5(res: &LocalityResult) -> String {
+    render_profile("access_cdf", &bucket_labels(), res, |r| r.access_cdf, false)
+}
+
+/// Renders Figure 6: per cache (`d`, `i`) and benchmark, the
+/// time-averaged fraction of subarrays hot at each threshold, then each
+/// cache's `AVG` row.
+#[must_use]
+pub fn render_fig6(res: &LocalityResult) -> String {
+    render_profile("hot_fraction", &threshold_labels(), res, |r| r.hot_fraction, true)
+}
+
+fn render_profile(
+    what: &str,
+    labels: &[String],
+    res: &LocalityResult,
+    column: fn(&LocalityRow) -> [f64; 5],
+    with_avg: bool,
+) -> String {
+    let mut f = format!("# cache  benchmark  {what} at {}\n", labels.join(" "));
+    for (cache, rows) in [("d", &res.data), ("i", &res.inst)] {
+        let mut lines: Vec<(&str, [f64; 5])> =
+            rows.iter().map(|r| (r.benchmark.as_str(), column(r))).collect();
+        if with_avg {
+            let n = rows.len() as f64;
+            let avg = std::array::from_fn(|k| rows.iter().map(|r| column(r)[k]).sum::<f64>() / n);
+            lines.push(("AVG", avg));
+        }
+        for (benchmark, values) in lines {
+            let _ = write!(f, "{cache} {benchmark}");
+            for v in values {
+                let _ = write!(f, " {v:.5}");
+            }
+            f.push('\n');
+        }
+    }
+    f
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Section 5: the performance cost of on-demand precharging.
 
+use std::fmt::Write as _;
+
 use crate::experiments::harness;
 use crate::{try_run_benchmark_cached, PolicyKind, SimError, SystemSpec};
 
@@ -59,6 +61,17 @@ pub fn run(instrs: u64) -> Result<(Vec<OnDemandRow>, OnDemandRow), SimError> {
         i_slowdown: rows.iter().map(|r| r.i_slowdown).sum::<f64>() / rows.len() as f64,
     };
     Ok((rows, avg))
+}
+
+/// Renders the Section 5 slowdowns, one line per row:
+/// `benchmark  d_slowdown  i_slowdown`.
+#[must_use]
+pub fn render(rows: &[OnDemandRow]) -> String {
+    let mut f = String::from("# benchmark  d_slowdown  i_slowdown\n");
+    for r in rows {
+        let _ = writeln!(f, "{} {:.5} {:.5}", r.benchmark, r.d_slowdown, r.i_slowdown);
+    }
+    f
 }
 
 #[cfg(test)]

@@ -13,6 +13,8 @@
 //! instructions, cache-energy overhead versus the same policy running
 //! fault-free, and how many subarrays ended the run pinned fail-safe.
 
+use std::fmt::Write as _;
+
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
@@ -233,6 +235,32 @@ pub fn run(instrs: u64, base: &FaultSpec) -> Result<Vec<ReliabilityRow>, SimErro
         }
     }
     Ok(rows)
+}
+
+/// Renders the reliability table, one line per row:
+/// `feature_nm  policy  protection  corrected_per_mi  due_per_mi
+/// sdc_per_mi  energy_overhead  fail_safe_subarrays`.
+#[must_use]
+pub fn render(rows: &[ReliabilityRow]) -> String {
+    let mut f = String::from(
+        "# feature_nm  policy  protection  corrected_per_mi  due_per_mi  \
+         sdc_per_mi  energy_overhead  fail_safe_subarrays\n",
+    );
+    for r in rows {
+        let _ = writeln!(
+            f,
+            "{} {} {} {:.5} {:.5} {:.5} {:.5} {}",
+            r.node.feature_nm(),
+            r.policy,
+            r.protection.label(),
+            r.corrected_per_mi,
+            r.due_per_mi,
+            r.sdc_per_mi,
+            r.energy_overhead,
+            r.fail_safe_subarrays
+        );
+    }
+    f
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Tables 1-3 of the paper.
 
+use std::fmt::Write as _;
+
 use bitline_cache::{CacheConfig, MemorySystemConfig};
 use bitline_circuit::DecoderModel;
 use bitline_cmos::TechnologyNode;
@@ -115,6 +117,48 @@ pub fn table3() -> Vec<Table3Row> {
         }
     }
     rows
+}
+
+/// Renders Table 1, one line per node: `feature_nm  vdd  clock_ghz`.
+#[must_use]
+pub fn render_table1(rows: &[Table1Row]) -> String {
+    let mut f = String::from("# feature_nm  vdd  clock_ghz\n");
+    for r in rows {
+        let _ = writeln!(f, "{} {:.2} {:.2}", r.feature_nm, r.vdd, r.clock_ghz);
+    }
+    f
+}
+
+/// Renders Table 2, one `parameter  value` line per structure.
+#[must_use]
+pub fn render_table2(rows: &[(String, String)]) -> String {
+    let mut f = String::from("# parameter            value\n");
+    for (k, v) in rows {
+        let _ = writeln!(f, "{k:<20} {v}");
+    }
+    f
+}
+
+/// Renders Table 3, one line per (subarray, node):
+/// `subarray_bytes  feature_nm  drive_ns  predecode_ns  final_ns
+/// pullup_ns`.
+#[must_use]
+pub fn render_table3(rows: &[Table3Row]) -> String {
+    let mut f =
+        String::from("# subarray_bytes  feature_nm  drive_ns  predecode_ns  final_ns  pullup_ns\n");
+    for r in rows {
+        let _ = writeln!(
+            f,
+            "{} {} {:.5} {:.5} {:.5} {:.5}",
+            r.subarray_bytes,
+            r.node.feature_nm(),
+            r.drive_ns,
+            r.predecode_ns,
+            r.final_ns,
+            r.pullup_ns
+        );
+    }
+    f
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! Binds the workspace together — synthetic workloads feeding the
 //! out-of-order core, whose L1s run a chosen precharge policy — and
 //! provides a typed driver per table/figure of the paper under
-//! [`experiments`]. The `bitline-bench` crate's harnesses are thin wrappers
-//! over those drivers.
+//! [`experiments`], each with one text renderer that the `bitline-sim
+//! <name>` command prints and `BITLINE_EXPORT_DIR` exports.
 //!
 //! A key structural property the harness exploits: the pipeline is scaled
 //! so cycle-counted latencies are identical across technology nodes

@@ -1,6 +1,6 @@
 //! Differential guarantee of the ECC layer: arming SECDED (`--ecc`, here
 //! via `BITLINE_ECC`) with a zero upset rate changes **nothing** — every
-//! golden figure export stays byte-identical to the unprotected goldens.
+//! golden figure stays byte-identical to the unprotected goldens.
 //!
 //! This pins the layering invariant the energy and fault models promise:
 //! with no faults to inject the decorator is never armed, no ECC energy
@@ -11,7 +11,7 @@
 use std::path::{Path, PathBuf};
 
 use bitline_sim::clear_run_caches;
-use bitline_sim::experiments::{export, fig10, fig3, fig8, fig9};
+use bitline_sim::experiments::{fig10, fig3, fig8, fig9};
 use bitline_sim::{FaultSpec, SystemSpec};
 
 /// Same budget as the golden suite — the goldens were rendered at this.
@@ -19,14 +19,6 @@ const INSTRS: u64 = 2_000;
 
 fn goldens_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("goldens")
-}
-
-fn rendered(name: &str, write: impl FnOnce(&Path) -> std::io::Result<PathBuf>) -> String {
-    let dir = std::env::temp_dir().join(format!("bitline-eccdiff-{}-{name}", std::process::id()));
-    let path = write(&dir).unwrap_or_else(|e| panic!("{name}: export failed: {e}"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: read: {e}"));
-    std::fs::remove_dir_all(&dir).ok();
-    text
 }
 
 fn check_against_golden(name: &str, got: &str) {
@@ -55,16 +47,16 @@ fn ecc_with_zero_upset_rate_leaves_every_golden_figure_byte_identical() {
     assert!(!FaultSpec::default().enabled(), "rate 0 leaves injection off");
 
     let (fig3_rows, _avg) = fig3::run(INSTRS).expect("fig3 completes");
-    check_against_golden("fig3", &rendered("fig3", |d| export::write_fig3(d, &fig3_rows)));
+    check_against_golden("fig3", &fig3::render(&fig3_rows));
 
     let (fig8_rows, _summary) = fig8::run(INSTRS).expect("fig8 completes");
-    check_against_golden("fig8", &rendered("fig8", |d| export::write_fig8(d, &fig8_rows)));
+    check_against_golden("fig8", &fig8::render(&fig8_rows));
 
     let fig9_rows = fig9::run(INSTRS).expect("fig9 completes");
-    check_against_golden("fig9", &rendered("fig9", |d| export::write_fig9(d, &fig9_rows)));
+    check_against_golden("fig9", &fig9::render(&fig9_rows));
 
     let fig10_rows = fig10::run(INSTRS).expect("fig10 completes");
-    check_against_golden("fig10", &rendered("fig10", |d| export::write_fig10(d, &fig10_rows)));
+    check_against_golden("fig10", &fig10::render(&fig10_rows));
 
     std::env::remove_var("BITLINE_SCRUB_PERIOD");
     std::env::remove_var("BITLINE_ECC");

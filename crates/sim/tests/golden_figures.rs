@@ -1,6 +1,8 @@
-//! Golden-figure regression suite: the `.dat` rows of fig3, fig8, fig9,
+//! Golden-figure regression suite: the rendered rows of fig3, fig8, fig9,
 //! fig10 and the on-demand table, pinned byte-for-byte on the two
-//! smallest workloads (`mesa`, `bisort`, both ~192 KB footprints).
+//! smallest workloads (`mesa`, `bisort`, both ~192 KB footprints), plus
+//! the paper's shape claims that hold on that reduced suite, so a
+//! re-bless cannot silently flip them.
 //!
 //! Every run is seeded and deterministic, so the exported bytes are a
 //! pure function of (suite restriction, instruction count) — any drift is
@@ -19,7 +21,7 @@
 use std::path::{Path, PathBuf};
 
 use bitline_sim::clear_run_caches;
-use bitline_sim::experiments::{export, fig10, fig3, fig8, fig9, ondemand};
+use bitline_sim::experiments::{fig10, fig3, fig8, fig9, ondemand};
 
 /// Instruction budget per simulated run — small enough for CI, long
 /// enough that every policy sees real cache behaviour.
@@ -27,17 +29,6 @@ const INSTRS: u64 = 2_000;
 
 fn goldens_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("goldens")
-}
-
-/// Renders one figure's `.dat` bytes via its exporter (into a temp dir,
-/// read back), so the goldens pin exactly what `BITLINE_EXPORT_DIR`
-/// publishes.
-fn rendered(name: &str, write: impl FnOnce(&Path) -> std::io::Result<PathBuf>) -> String {
-    let dir = std::env::temp_dir().join(format!("bitline-golden-{}-{name}", std::process::id()));
-    let path = write(&dir).unwrap_or_else(|e| panic!("{name}: export failed: {e}"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: read: {e}"));
-    std::fs::remove_dir_all(&dir).ok();
-    text
 }
 
 fn check(name: &str, got: &str, bless: bool) {
@@ -65,27 +56,47 @@ fn figure_exports_match_the_checked_in_goldens() {
     clear_run_caches();
 
     let (fig3_rows, _avg) = fig3::run(INSTRS).expect("fig3 completes");
-    check("fig3", &rendered("fig3", |d| export::write_fig3(d, &fig3_rows)), bless);
+    check("fig3", &fig3::render(&fig3_rows), bless);
 
     let (fig8_rows, _summary) = fig8::run(INSTRS).expect("fig8 completes");
-    check("fig8", &rendered("fig8", |d| export::write_fig8(d, &fig8_rows)), bless);
+    check("fig8", &fig8::render(&fig8_rows), bless);
 
     let fig9_rows = fig9::run(INSTRS).expect("fig9 completes");
-    check("fig9", &rendered("fig9", |d| export::write_fig9(d, &fig9_rows)), bless);
+    check("fig9", &fig9::render(&fig9_rows), bless);
+    // Fig 9: the isolation overhead makes gated precharging lose outright
+    // at 180 nm, and at 70 nm it beats the resizable cache.
+    let at = |nm: u32| fig9_rows.iter().find(|r| r.node.feature_nm() == nm).expect("node row");
+    assert!(at(180).gated_d > 1.0, "fig9: gated D at 180nm = {}", at(180).gated_d);
+    assert!(
+        at(70).gated_d < at(70).resizable_d,
+        "fig9: at 70nm gated D {} must beat resizable D {}",
+        at(70).gated_d,
+        at(70).resizable_d
+    );
 
     let fig10_rows = fig10::run(INSTRS).expect("fig10 completes");
-    check("fig10", &rendered("fig10", |d| export::write_fig10(d, &fig10_rows)), bless);
+    check("fig10", &fig10::render(&fig10_rows), bless);
+    // Fig 10: smaller subarrays keep fewer of them precharged, down to 256 B.
+    let d_at = |bytes: usize| {
+        fig10_rows.iter().find(|r| r.subarray_bytes == bytes).expect("size row").d_precharged
+    };
+    assert!(
+        d_at(4096) > d_at(1024) && d_at(1024) > d_at(256),
+        "fig10: D precharged must fall 4096 -> 1024 -> 256 B: {} {} {}",
+        d_at(4096),
+        d_at(1024),
+        d_at(256)
+    );
 
     let (ondemand_rows, _avg) = ondemand::run(INSTRS).expect("ondemand completes");
-    check("ondemand", &rendered("ondemand", |d| export::write_ondemand(d, &ondemand_rows)), bless);
+    check("ondemand", &ondemand::render(&ondemand_rows), bless);
 
     // A warm rerun (everything above is now in the run cache) must render
     // byte-identical output — cache hits replay, never approximate.
     let (warm_rows, _avg) = fig3::run(INSTRS).expect("warm fig3 completes");
-    let warm = rendered("fig3-warm", |d| export::write_fig3(d, &warm_rows));
     // Never bless from the warm leg: it must match what the cold leg just
     // wrote (or the checked-in golden), even under BITLINE_BLESS=1.
-    check("fig3", &warm, false);
+    check("fig3", &fig3::render(&warm_rows), false);
 
     std::env::remove_var("BITLINE_SUITE");
 }

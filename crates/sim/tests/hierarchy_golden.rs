@@ -15,7 +15,7 @@
 use std::path::{Path, PathBuf};
 
 use bitline_exec::pool;
-use bitline_sim::experiments::{export, hierarchy};
+use bitline_sim::experiments::hierarchy;
 use bitline_sim::{clear_run_caches, run_cache_stats};
 
 /// Instruction budget per simulated run — small enough for CI, long
@@ -26,22 +26,13 @@ fn goldens_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("goldens")
 }
 
-fn rendered(tag: &str, rows: &[hierarchy::HierarchyRow]) -> String {
-    let dir =
-        std::env::temp_dir().join(format!("bitline-hier-golden-{tag}-{}", std::process::id()));
-    let path = export::write_hierarchy(&dir, rows).expect("hierarchy export");
-    let text = std::fs::read_to_string(&path).expect("read hierarchy export");
-    std::fs::remove_dir_all(&dir).ok();
-    text
-}
-
 #[test]
 fn hierarchy_export_matches_golden_whatever_the_schedule() {
     std::env::set_var("BITLINE_SUITE", "mesa,bisort");
     let bless = std::env::var("BITLINE_BLESS").is_ok_and(|v| v == "1");
 
     clear_run_caches();
-    let cold = rendered("serial", &pool::with_jobs(1, || hierarchy::run(INSTRS)).expect("cold"));
+    let cold = hierarchy::render(&pool::with_jobs(1, || hierarchy::run(INSTRS)).expect("cold"));
 
     // Coverage floor: ≥2 levels × ≥3 modes × ≥3 nodes in the table.
     let data_rows: Vec<&str> = cold.lines().filter(|l| !l.starts_with('#')).collect();
@@ -78,7 +69,7 @@ fn hierarchy_export_matches_golden_whatever_the_schedule() {
     // Warm rerun: everything is in the run cache now; the bytes must
     // replay exactly, from hits, with no recomputation.
     let before = run_cache_stats();
-    let warm = rendered("warm", &hierarchy::run(INSTRS).expect("warm"));
+    let warm = hierarchy::render(&hierarchy::run(INSTRS).expect("warm"));
     let after = run_cache_stats();
     assert_eq!(warm, cold, "a warm rerun must replay the cold bytes exactly");
     assert!(after.hits > before.hits, "warm rerun must hit the run cache");
@@ -87,7 +78,7 @@ fn hierarchy_export_matches_golden_whatever_the_schedule() {
     // jobs=N from a cold cache: the schedule must not leak into the rows.
     clear_run_caches();
     let parallel =
-        rendered("parallel", &pool::with_jobs(8, || hierarchy::run(INSTRS)).expect("parallel"));
+        hierarchy::render(&pool::with_jobs(8, || hierarchy::run(INSTRS)).expect("parallel"));
     assert_eq!(parallel, cold, "hierarchy.dat must not depend on the job count");
 
     std::env::remove_var("BITLINE_SUITE");

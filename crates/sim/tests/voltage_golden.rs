@@ -17,7 +17,7 @@
 use std::path::{Path, PathBuf};
 
 use bitline_exec::pool;
-use bitline_sim::experiments::{export, voltage};
+use bitline_sim::experiments::voltage;
 use bitline_sim::{clear_run_caches, run_cache_stats};
 
 /// Instruction budget per simulated run — small enough for CI, long
@@ -29,22 +29,13 @@ fn goldens_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("goldens")
 }
 
-fn rendered(tag: &str, rows: &[voltage::VoltageRow]) -> String {
-    let dir =
-        std::env::temp_dir().join(format!("bitline-volt-golden-{tag}-{}", std::process::id()));
-    let path = export::write_voltage(&dir, rows).expect("voltage export");
-    let text = std::fs::read_to_string(&path).expect("read voltage export");
-    std::fs::remove_dir_all(&dir).ok();
-    text
-}
-
 #[test]
 fn voltage_export_matches_golden_whatever_the_schedule() {
     std::env::set_var("BITLINE_SUITE", "mesa,bisort");
     let bless = std::env::var("BITLINE_BLESS").is_ok_and(|v| v == "1");
 
     clear_run_caches();
-    let cold = rendered("serial", &pool::with_jobs(1, || voltage::run(INSTRS)).expect("cold"));
+    let cold = voltage::render(&pool::with_jobs(1, || voltage::run(INSTRS)).expect("cold"));
 
     // Coverage floor: every node, ≥4 supply scales, both modes.
     let data_rows: Vec<&str> = cold.lines().filter(|l| !l.starts_with('#')).collect();
@@ -81,7 +72,7 @@ fn voltage_export_matches_golden_whatever_the_schedule() {
     // Warm rerun: everything is in the run cache now; the bytes must
     // replay exactly, from hits, with no recomputation.
     let before = run_cache_stats();
-    let warm = rendered("warm", &voltage::run(INSTRS).expect("warm"));
+    let warm = voltage::render(&voltage::run(INSTRS).expect("warm"));
     let after = run_cache_stats();
     assert_eq!(warm, cold, "a warm rerun must replay the cold bytes exactly");
     assert!(after.hits > before.hits, "warm rerun must hit the run cache");
@@ -90,8 +81,7 @@ fn voltage_export_matches_golden_whatever_the_schedule() {
     // jobs=N from a cold cache: the schedule must not leak into the rows
     // — speculation draws and governor state are per-run, never shared.
     clear_run_caches();
-    let parallel =
-        rendered("parallel", &pool::with_jobs(8, || voltage::run(INSTRS)).expect("parallel"));
+    let parallel = voltage::render(&pool::with_jobs(8, || voltage::run(INSTRS)).expect("parallel"));
     assert_eq!(parallel, cold, "voltage.dat must not depend on the job count");
 
     std::env::remove_var("BITLINE_SUITE");
