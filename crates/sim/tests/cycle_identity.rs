@@ -6,7 +6,10 @@
 //! matrix of benchmark × policy (plus a fault-injected row, which
 //! exercises the replay machinery hardest) to a text golden generated
 //! *before* the refactor, so any semantic drift in the core shows up as
-//! a diff rather than a silently skewed figure.
+//! a diff rather than a silently skewed figure. `mcf` (the pointer
+//! chaser, whose cycles are mostly spent waiting on misses) and one fully
+//! armed row (three gated levels, faults with ECC and scrubbing, a
+//! governed low supply) pin the cycles the core skips over in one jump.
 //!
 //! Regenerate after an intentional model change with:
 //!
@@ -17,11 +20,17 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use bitline_sim::{try_run_benchmark, FaultSpec, PolicyKind, SystemSpec};
+use bitline_sim::{
+    try_run_benchmark, FaultSpec, HierarchySpec, LeakageKind, PolicyKind, SystemSpec, VddSpec,
+};
 
 const INSTRS: u64 = 3_000;
 
-const BENCHMARKS: &[&str] = &["mesa", "bisort", "gcc", "health"];
+const BENCHMARKS: &[&str] = &["mesa", "bisort", "gcc", "health", "mcf"];
+
+/// Instructions of the armed row: long enough for upsets, scrubs and
+/// governor steps to land inside the run.
+const ARMED_INSTRS: u64 = 20_000;
 
 fn policies() -> Vec<(&'static str, PolicyKind)> {
     vec![
@@ -116,6 +125,28 @@ fn core_semantics_match_the_pinned_goldens() {
         write!(line, "{}", render_run_all_younger(bench, &spec)).unwrap();
         got.push_str(&line);
     }
+    // Every slow layer at once: three levels with a gated L2/L3, upsets
+    // corrected by SECDED and scrubbed, and a governed 0.85 supply.
+    let armed = SystemSpec {
+        d_policy: PolicyKind::Gated { threshold: 100 },
+        i_policy: PolicyKind::Gated { threshold: 100 },
+        instructions: ARMED_INSTRS,
+        faults: FaultSpec {
+            rate: 0.001,
+            seed: 7,
+            fail_safe: false,
+            ecc: true,
+            scrub_period: Some(20_000),
+        },
+        hierarchy: HierarchySpec {
+            levels: 3,
+            l2_policy: PolicyKind::Gated { threshold: 100 },
+            leakage_mode: LeakageKind::FullVdd,
+        },
+        vdd: VddSpec { scale: 0.85, governor: true },
+        ..SystemSpec::default()
+    };
+    got.push_str(&render_run("armed", "gcc", &armed));
 
     let golden_path = goldens_dir().join("cycle_identity.txt");
     if bless {
