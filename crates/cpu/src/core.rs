@@ -10,23 +10,35 @@
 //! The reorder buffer is a structure-of-arrays ring ([`Rob`]): per-entry
 //! fields live in flat parallel arrays indexed by `seq % capacity` (the
 //! live window `head_seq..next_seq` never exceeds the capacity, so the
-//! mapping is injective). Completion is event-driven — every issue pushes
-//! a `(ready_cycle, seq)` wakeup event onto a min-heap, and `complete`
-//! pops due events instead of re-scanning the whole ROB each cycle; load
-//! misspeculations queue onto a small pending-replay list drained in
-//! sequence order. Only the issue stage still walks the window, and it
-//! touches one state byte per entry with an early exit once every waiting
-//! entry has been seen. All of this is architecturally invisible: the
-//! cycle-by-cycle transitions are identical to the original record-based
-//! core (pinned by the `cycle_identity` goldens in `bitline-sim`).
+//! mapping is injective). Completion is event-driven — every issue files
+//! its entry under its ready cycle in a [`Calendar`], and `complete`
+//! drains the due bucket instead of re-scanning the whole ROB each cycle;
+//! load misspeculations queue onto a small pending-replay list drained in
+//! sequence order. The issue stage scans only the entries whose operand
+//! sleep has expired (a second calendar of wake timers). All of this is
+//! architecturally invisible: the cycle-by-cycle transitions are identical
+//! to the original record-based core (pinned by the `cycle_identity`
+//! goldens in `bitline-sim`).
+//!
+//! # Skipping quiet cycles
+//!
+//! Each stage reports whether it changed any state. After a cycle in
+//! which none did, every following cycle repeats it until something
+//! timed comes due: a ready or wake event, a pending replay's resolve
+//! cycle, the commit of a `Done` head held back by its resolve cycle, or
+//! the end of a fetch stall. The clock then jumps straight to the
+//! earliest of those, and the skipped cycles are added to the fetch-stall
+//! count they would each have bumped. Nothing skips while fetch could run
+//! or when nothing is scheduled at all (so the deadlock check still
+//! fires).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use bitline_cache::MemorySystem;
 use bitline_trace::{Instr, InstrKind, TraceSource, NUM_REGS};
 
 use crate::bpred::BranchPredictor;
+use crate::calendar::Calendar;
 use crate::config::{CpuConfig, ReplayScope};
 use crate::stats::SimStats;
 
@@ -145,9 +157,10 @@ pub struct Cpu {
     /// An I-cache line whose fill/pull-up we already paid for: `(line,
     /// ready_cycle)`. Prevents re-charging the access on fetch retry.
     fetch_line_ready: Option<(u64, u64)>,
-    /// Wakeup events: every issue schedules `(ready_cycle, seq)`; stale
-    /// events (entry squashed or re-issued since) are dropped on pop.
-    ready_events: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Wakeup events: every issue schedules `seq` at its ready cycle;
+    /// stale events (entry squashed or re-issued since) are dropped on
+    /// drain.
+    ready_events: Calendar,
     /// Loads whose latency misspeculated, awaiting scheduler resolution.
     /// Drained in ascending-seq order; stale seqs are filtered on drain.
     pending_replays: Vec<u64>,
@@ -155,9 +168,15 @@ pub struct Cpu {
     /// `wake_cycle` has passed). The issue stage scans only this list —
     /// sleeping entries cost nothing until a timer or producer wakes them.
     awake: Vec<u64>,
-    /// Sleep-expiry timers: `(wake_cycle, seq)`, analogous to
-    /// `ready_events`; stale entries are filtered on pop.
-    wake_events: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Sleep-expiry timers: `seq` at its `wake_cycle`, analogous to
+    /// `ready_events`; stale entries are filtered on drain.
+    wake_events: Calendar,
+    /// Scratch for the events a calendar drains in one cycle.
+    due: Vec<u64>,
+    /// Whether any stage changed state this cycle (see the module docs).
+    busy: bool,
+    /// Cycles jumped over without stepping.
+    skipped_cycles: u64,
     stats: SimStats,
 }
 
@@ -196,10 +215,13 @@ impl Cpu {
             fetch_stall_until: 0,
             fetch_blocked_on: None,
             fetch_line_ready: None,
-            ready_events: BinaryHeap::with_capacity(cfg.rob_entries),
+            ready_events: Calendar::new(),
             pending_replays: Vec::new(),
             awake: Vec::with_capacity(cfg.rob_entries),
-            wake_events: BinaryHeap::with_capacity(cfg.rob_entries),
+            wake_events: Calendar::new(),
+            due: Vec::new(),
+            busy: false,
+            skipped_cycles: 0,
             stats: SimStats::default(),
         }
     }
@@ -272,13 +294,67 @@ impl Cpu {
         self.cycle
     }
 
+    /// Cycles so far in which no stage had anything to do and the clock
+    /// jumped over them instead of stepping (included in
+    /// [`SimStats::cycles`]).
+    #[must_use]
+    pub fn skipped_cycles(&self) -> u64 {
+        self.skipped_cycles
+    }
+
     fn step(&mut self, trace: &mut dyn TraceSource) {
+        self.busy = false;
         self.complete();
         self.commit();
         self.issue();
         self.dispatch();
         self.fetch(trace);
         self.cycle += 1;
+        if !self.busy {
+            self.fast_forward();
+        }
+    }
+
+    /// After a cycle that changed no state, jumps the clock to the first
+    /// cycle at which something timed comes due; every cycle before it
+    /// would repeat the quiet one.
+    fn fast_forward(&mut self) {
+        let fetch_blocked = self.fetch_blocked_on.is_some();
+        let fetch_stalled = fetch_blocked || self.cycle < self.fetch_stall_until;
+        if !fetch_stalled && self.fetch_queue.len() < self.cfg.fetch_queue {
+            return; // fetch runs this cycle
+        }
+        let mut next = self.ready_events.next_event().unwrap_or(u64::MAX);
+        next = next.min(self.wake_events.next_event().unwrap_or(u64::MAX));
+        for &seq in &self.pending_replays {
+            let s = self.rob.slot(seq);
+            if self.live(seq)
+                && self.rob.flags[s] & (flag::MISSPECULATED | flag::REPLAY_HANDLED)
+                    == flag::MISSPECULATED
+            {
+                next = next.min(self.rob.resolve_cycle[s]);
+            }
+        }
+        if self.head_seq < self.next_seq {
+            // A `Done` head is ready (`complete` checked), so only its
+            // resolve cycle can still hold commit back.
+            let s = self.rob.slot(self.head_seq);
+            if self.rob.state[s] == State::Done {
+                next = next.min(self.rob.resolve_cycle[s]);
+            }
+        }
+        if !fetch_blocked && self.fetch_stall_until > self.cycle {
+            next = next.min(self.fetch_stall_until);
+        }
+        if next == u64::MAX || next <= self.cycle {
+            return;
+        }
+        let skipped = next - self.cycle;
+        if fetch_stalled {
+            self.stats.fetch_stall_cycles += skipped;
+        }
+        self.skipped_cycles += skipped;
+        self.cycle = next;
     }
 
     #[inline]
@@ -294,11 +370,11 @@ impl Cpu {
         // different ready cycle (the re-issue pushed its own event) — the
         // surviving transitions are exactly the entries the original
         // full-ROB scan would have found with `Issued && ready <= cycle`.
-        while let Some(&Reverse((ready, seq))) = self.ready_events.peek() {
-            if ready > cycle {
-                break;
-            }
-            self.ready_events.pop();
+        // Each transition touches only its own entry and takes a `max` of
+        // the fetch stall, so the drain order does not matter.
+        let mut due = std::mem::take(&mut self.due);
+        self.ready_events.drain(cycle, &mut due);
+        for &seq in &due {
             if !self.live(seq) {
                 continue;
             }
@@ -307,12 +383,14 @@ impl Cpu {
                 continue;
             }
             self.rob.state[s] = State::Done;
+            self.busy = true;
             if self.rob.flags[s] & flag::BLOCKED_FETCH != 0 && self.fetch_blocked_on == Some(seq) {
                 let resume = self.rob.ready_cycle[s] + self.cfg.redirect_penalty;
                 self.fetch_blocked_on = None;
                 self.fetch_stall_until = self.fetch_stall_until.max(resume);
             }
         }
+        self.due = due;
         // Load-hit speculation resolution: squash dependents of loads whose
         // latency exceeded the assumption. Drained in ascending seq order
         // (the order the original scan visited them); the state machine is
@@ -320,8 +398,7 @@ impl Cpu {
         // squashed back to Waiting still replays when its original resolve
         // cycle passes, exactly as before.
         if !self.pending_replays.is_empty() {
-            self.pending_replays.sort_unstable();
-            self.pending_replays.dedup();
+            sort_dedup(&mut self.pending_replays);
             let mut pending = std::mem::take(&mut self.pending_replays);
             pending.retain(|&seq| {
                 if !self.live(seq) {
@@ -334,6 +411,7 @@ impl Cpu {
                     && self.rob.resolve_cycle[s] <= cycle;
                 if fires {
                     self.rob.flags[s] |= flag::REPLAY_HANDLED;
+                    self.busy = true;
                     self.replay(seq);
                     return false;
                 }
@@ -416,6 +494,7 @@ impl Cpu {
             }
             self.head_seq += 1;
             self.stats.committed += 1;
+            self.busy = true;
         }
     }
 
@@ -477,15 +556,13 @@ impl Cpu {
 
     fn issue(&mut self) {
         let cycle = self.cycle;
-        // Admit entries whose sleep just expired. A popped event is stale
+        // Admit entries whose sleep just expired. A drained event is stale
         // when its entry issued in the meantime (state left Waiting) or
         // re-slept with a later bound (in which case its own fresh event
         // is still queued).
-        while let Some(&Reverse((wake, seq))) = self.wake_events.peek() {
-            if wake > cycle {
-                break;
-            }
-            self.wake_events.pop();
+        let mut due = std::mem::take(&mut self.due);
+        self.wake_events.drain(cycle, &mut due);
+        for &seq in &due {
             if !self.live(seq) {
                 continue;
             }
@@ -495,10 +572,16 @@ impl Cpu {
             }
             self.awake.push(seq);
         }
+        self.due = due;
+        if self.awake.is_empty() {
+            return;
+        }
+        // Every awake entry issues, sleeps or stays blocked behind one
+        // that issued: this cycle changes state either way.
+        self.busy = true;
         // Dispatch appends in order, but squash wake-ups and expired
         // sleeps arrive unordered, and selection must stay oldest-first.
-        self.awake.sort_unstable();
-        self.awake.dedup();
+        sort_dedup(&mut self.awake);
         let mut issued = 0;
         let mut dcache_ops = 0;
         let mut store_ops = 0;
@@ -544,7 +627,7 @@ impl Cpu {
                 // bound is woken by the registered producer's issue.
                 self.rob.wake_cycle[s] = wake;
                 if wake != u64::MAX {
-                    self.wake_events.push(Reverse((wake, seq)));
+                    self.wake_events.push(wake, seq);
                 }
                 return false;
             }
@@ -602,7 +685,7 @@ impl Cpu {
                 }
             }
             self.rob.flags[s] = flags;
-            self.ready_events.push(Reverse((ready_cycle, seq)));
+            self.ready_events.push(ready_cycle, seq);
             // Wake sleeping consumers: their stored bound may predate this
             // (re-)issue, whose value can arrive earlier than they assumed.
             // `min` never extends a sleep, so waking is always safe.
@@ -621,7 +704,7 @@ impl Cpu {
                             *wc = (*wc).min(dep_wake);
                             // Re-admit the sleeper at its (possibly pulled
                             // forward) wake cycle; stale events filter out.
-                            self.wake_events.push(Reverse((*wc, w)));
+                            self.wake_events.push(*wc, w);
                         }
                     }
                 }
@@ -658,6 +741,7 @@ impl Cpu {
                 break;
             }
             self.fetch_queue.pop_front();
+            self.busy = true;
             let seq = self.next_seq;
             self.next_seq += 1;
             let producers = [
@@ -697,6 +781,10 @@ impl Cpu {
             self.stats.fetch_stall_cycles += 1;
             return;
         }
+        if self.fetch_queue.len() >= self.cfg.fetch_queue {
+            return;
+        }
+        self.busy = true;
         let line_bytes = self.mem.config().l1i.line_bytes as u64;
         let mut lines_used = 0;
         let mut current_line = u64::MAX;
@@ -757,6 +845,16 @@ impl Cpu {
                 }
             }
         }
+    }
+}
+
+/// Sorts `seqs` ascending without duplicates. Both lists this serves are
+/// usually already in order, which one linear check confirms far more
+/// cheaply than a sort.
+fn sort_dedup(seqs: &mut Vec<u64>) {
+    if !seqs.is_sorted_by(|a, b| a < b) {
+        seqs.sort_unstable();
+        seqs.dedup();
     }
 }
 

@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 
 mod bpred;
+mod calendar;
 mod config;
 mod core;
 mod stats;

@@ -117,9 +117,20 @@ pub fn clear_spans() {
 mod tests {
     use super::*;
 
+    /// The span ring is process-global and these tests empty it, so they
+    /// take turns: a clear racing `ring_is_bounded`'s fill would leave the
+    /// ring short of full.
+    static RING: Mutex<()> = Mutex::new(());
+
+    fn own_ring() -> std::sync::MutexGuard<'static, ()> {
+        let guard = RING.lock().unwrap_or_else(PoisonError::into_inner);
+        clear_spans();
+        guard
+    }
+
     #[test]
     fn spans_record_name_fields_and_duration() {
-        clear_spans();
+        let _ring = own_ring();
         {
             let _s = span("test/outer").field("benchmark", "mesa").field("n", 3);
         }
@@ -134,14 +145,14 @@ mod tests {
 
     #[test]
     fn close_records_immediately() {
-        clear_spans();
+        let _ring = own_ring();
         span("test/closed").close();
         assert!(recent_spans().iter().any(|s| s.name == "test/closed"));
     }
 
     #[test]
     fn ring_is_bounded() {
-        clear_spans();
+        let _ring = own_ring();
         for i in 0..SPAN_CAPACITY + 10 {
             span("test/bulk").field("i", i).close();
         }

@@ -89,7 +89,13 @@ fn parse_args() -> Result<Args, String> {
             cmd => {
                 let Some(exp) = experiments::EXPERIMENTS.iter().find(|(name, _)| *name == cmd)
                 else {
-                    return Err(format!("unknown flag `{cmd}` (see --help)"));
+                    if cmd.starts_with('-') {
+                        return Err(format!("unknown flag `{cmd}` (see --help)"));
+                    }
+                    return Err(format!(
+                        "unknown command `{cmd}`; experiments: {}",
+                        experiment_names()
+                    ));
                 };
                 if let Some((prev, _)) = args.experiment {
                     return Err(format!("one experiment at a time (`{prev}` then `{cmd}`)"));
@@ -103,6 +109,12 @@ fn parse_args() -> Result<Args, String> {
     // scrubbing without ECC) fail here, before any run starts.
     args.spec.validate().map_err(|e| e.to_string())?;
     Ok(args)
+}
+
+/// The positional experiment commands, as `--help` lists them.
+fn experiment_names() -> String {
+    let names: Vec<&str> = experiments::EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+    names.join(" | ")
 }
 
 fn print_help() {
@@ -131,8 +143,7 @@ fn print_help() {
     println!("SPEC OPTIONS ([key] is the same setting in a bitline-serve request spec):");
     print!("{}", bitline_sim::spec_help());
     println!();
-    let names: Vec<&str> = experiments::EXPERIMENTS.iter().map(|&(name, _)| name).collect();
-    println!("EXPERIMENTS (positional): {}", names.join(" | "));
+    println!("EXPERIMENTS (positional): {}", experiment_names());
     println!("  runs the paper-figure driver over the suite (BITLINE_INSTRS instructions");
     println!("  per run, BITLINE_SUITE restricts the benchmark set); with BITLINE_EXPORT_DIR");
     println!("  set, the printed table is also written to DIR/<name>.dat");

@@ -16,7 +16,7 @@ use bitline_cpu::{Cpu, CpuConfig, ReplayScope};
 use gated_precharge::{GatedPolicy, StaticPullUp};
 
 use crate::experiments::{optimal_gated, SweptCache};
-use crate::{try_run_benchmark, PolicyKind, SimError, SystemSpec};
+use crate::{execution, try_run_benchmark, PolicyKind, SimError, SystemSpec};
 
 /// Benchmarks of the predecoding and replay-scope ablations.
 const NAMES: [&str; 6] = ["gcc", "mcf", "mesa", "health", "vpr", "art"];
@@ -156,8 +156,9 @@ pub fn run(instrs: u64) -> Result<Ablations, SimError> {
 /// Runs `name` with a gated (threshold 100) D-cache under `scope` and
 /// against a static machine with the same scope: `(slowdown, replays)`.
 fn replay_run(name: &str, scope: ReplayScope, instrs: u64) -> Result<(f64, u64), SimError> {
-    let workload = bitline_workloads::suite::by_name(name)
-        .ok_or_else(|| SimError::UnknownBenchmark(name.to_owned()))?;
+    let trace = || {
+        execution::trace_cursor(name, 42).ok_or_else(|| SimError::UnknownBenchmark(name.to_owned()))
+    };
     let cfg = MemorySystemConfig::default();
     let cpu_cfg = CpuConfig { replay_scope: scope, ..CpuConfig::default() };
     let mem = MemorySystem::new(
@@ -170,8 +171,8 @@ fn replay_run(name: &str, scope: ReplayScope, instrs: u64) -> Result<(f64, u64),
         Box::new(StaticPullUp::new(cfg.l1d.subarrays())),
         Box::new(StaticPullUp::new(cfg.l1i.subarrays())),
     );
-    let stats = Cpu::new(cpu_cfg, mem).run(&mut workload.build(42), instrs);
-    let base = Cpu::new(cpu_cfg, base_mem).run(&mut workload.build(42), instrs);
+    let stats = Cpu::new(cpu_cfg, mem).run(&mut trace()?, instrs);
+    let base = Cpu::new(cpu_cfg, base_mem).run(&mut trace()?, instrs);
     Ok((stats.cycles as f64 / base.cycles as f64 - 1.0, stats.replays))
 }
 

@@ -33,6 +33,7 @@ const DECLARED_COUNTERS: &[&str] = &[
     "sim.runner.chunks",
     "sim.runner.committed_instructions",
     "sim.runner.cycles",
+    "sim.runner.skipped_cycles",
     "sim.runner.busy_micros",
     "sim.runner.timeouts",
     "sim.checkpoint.appended",

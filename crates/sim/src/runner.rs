@@ -453,6 +453,7 @@ pub fn try_run_benchmark_supervised(
         chunk_counter.incr();
     }
     let end_cycle = stats.cycles;
+    let skipped_cycles = cpu.skipped_cycles();
     let mut mem = cpu.into_memory();
     let d_hit_miss = (mem.l1d().hits(), mem.l1d().misses());
     let i_hit_miss = (mem.l1i().hits(), mem.l1i().misses());
@@ -476,6 +477,7 @@ pub fn try_run_benchmark_supervised(
     let committed_counter = bitline_obs::counter!("sim.runner.committed_instructions");
     committed_counter.add(stats.committed);
     bitline_obs::counter!("sim.runner.cycles").add(stats.cycles);
+    bitline_obs::counter!("sim.runner.skipped_cycles").add(skipped_cycles);
     let busy_counter = bitline_obs::counter!("sim.runner.busy_micros");
     busy_counter.add(u64::try_from(busy.as_micros()).unwrap_or(u64::MAX));
     // Cumulative simulation throughput: committed instructions per

@@ -94,5 +94,8 @@ fn unknown_experiment_is_refused() {
     let out = Command::new(BIN).arg("fig99").output().expect("bitline-sim starts");
     assert!(!out.status.success(), "an unknown command must exit non-zero");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("fig99"), "the error names the command: {stderr}");
+    assert!(stderr.contains("unknown command `fig99`"), "the error names the command: {stderr}");
+    for (name, _) in EXPERIMENTS {
+        assert!(stderr.contains(name), "the error lists experiment `{name}`: {stderr}");
+    }
 }

@@ -98,6 +98,7 @@ fn semantic_counters_are_identical_across_job_counts() {
         "sim.runner.runs",
         "sim.runner.committed_instructions",
         "sim.runner.cycles",
+        "sim.runner.skipped_cycles",
         "sim.run_cache.misses",
         "sim.run_cache.hits",
         "exec.traces.materialised",
